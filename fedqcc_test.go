@@ -139,8 +139,7 @@ func TestEnableQCCLearnsAndReroutes(t *testing.T) {
 	if res.Route["QF1"] == preferred {
 		t.Fatal("must reroute away from loaded server")
 	}
-	compiles, runs, _ := cal.Stats()
-	if compiles == 0 || runs == 0 {
+	if st := cal.StatsSnapshot(); st.Compiles == 0 || st.Runs == 0 {
 		t.Fatal("stats")
 	}
 }
@@ -178,8 +177,7 @@ func TestDisableQCC(t *testing.T) {
 	if _, err := fed.Query("SELECT COUNT(*) FROM parts AS p"); err != nil {
 		t.Fatal(err)
 	}
-	_, runs, _ := cal.Stats()
-	if runs != 0 {
+	if cal.StatsSnapshot().Runs != 0 {
 		t.Fatal("disabled QCC must not observe")
 	}
 }
@@ -471,5 +469,44 @@ func TestConcurrentQueriesAreRaceFree(t *testing.T) {
 	}
 	if len(fed.QueryLog()) != 20 {
 		t.Fatalf("log entries: %d", len(fed.QueryLog()))
+	}
+}
+
+// TestJoinLimitMergeChargesLess pins LIMIT's early exit in the II merge: the
+// merge runs once over the drained fragments, and on a tail with no
+// aggregate, sort or distinct the limit applies before the projection, so a
+// cross-source join ending in LIMIT charges the merge less than the same
+// join without it — and returns the head of its rows.
+func TestJoinLimitMergeChargesLess(t *testing.T) {
+	const join = "SELECT o.o_id, l.l_price * 2 AS p FROM orders AS o JOIN lineitem AS l ON o.o_id = l.l_orderkey WHERE o.o_amount > 5000"
+	run := func(sql string) *fedqcc.QueryResult {
+		t.Helper()
+		fed, err := fedqcc.NewReplicaFederation(fedqcc.FederationOptions{Scale: 20, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := fed.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Route) < 2 {
+			t.Fatalf("%s: needs a cross-source join, got route %v", sql, res.Route)
+		}
+		return res
+	}
+	full := run(join)
+	limited := run(join + " LIMIT 7")
+	if len(limited.Rows.Rows) != 7 || len(full.Rows.Rows) <= 7 {
+		t.Fatalf("rows: %d limited, %d full", len(limited.Rows.Rows), len(full.Rows.Rows))
+	}
+	for i, row := range limited.Rows.Rows {
+		for j, v := range row {
+			if v != full.Rows.Rows[i][j] {
+				t.Fatalf("row %d: %v, want %v", i, row, full.Rows.Rows[i])
+			}
+		}
+	}
+	if limited.MergeTime >= full.MergeTime {
+		t.Fatalf("LIMIT merge %v must charge less than the unlimited merge %v", limited.MergeTime, full.MergeTime)
 	}
 }

@@ -150,10 +150,9 @@ type aggGroup struct {
 	countStar int64
 }
 
-// aggFolder is the incremental grouping kernel shared by the materialized
-// Aggregate operator and the streaming AggregateStream source: input rows
-// fold into per-group states one batch at a time, so streamed and
-// materialized aggregation are identical by construction.
+// aggFolder is the grouping kernel shared by the row Aggregate operator and
+// the vectorized executor (foldBatch folds columns into the same group
+// structures), so both engines aggregate identically by construction.
 type aggFolder struct {
 	groupBy []sqlparser.Expr
 	aggs    []*sqlparser.AggExpr

@@ -112,9 +112,9 @@ const (
 	stepLimit
 )
 
-// topStep is one stage of the non-join tail. The materialized (BuildTop)
-// and streaming (BuildTopSource) assemblers interpret the same step list,
-// so the two execution paths cannot diverge on plan shape.
+// topStep is one stage of the non-join tail. BuildTop and BuildShardFinal
+// interpret the same step list, so sharded and unsharded plans cannot
+// diverge on tail shape.
 type topStep struct {
 	kind    topStepKind
 	pred    sqlparser.Expr         // stepFilter (HAVING)
@@ -191,6 +191,13 @@ func planTopSteps(stmt *sqlparser.SelectStmt, schema *sqltypes.Schema) ([]topSte
 		}
 	}
 
+	// Projection maps rows one to one, so with no aggregate, sort or
+	// distinct step LIMIT applies first and the projection evaluates only
+	// the rows that survive it.
+	limitFirst := stmt.Limit >= 0 && len(steps) == 0 && len(orderBy) == 0 && !stmt.Distinct
+	if limitFirst {
+		steps = append(steps, topStep{kind: stepLimit, n: stmt.Limit})
+	}
 	steps = append(steps, topStep{kind: stepProject, items: selectItems})
 
 	// Any ORDER BY keys that reference projection aliases sort here.
@@ -200,7 +207,7 @@ func planTopSteps(stmt *sqlparser.SelectStmt, schema *sqltypes.Schema) ([]topSte
 	if stmt.Distinct {
 		steps = append(steps, topStep{kind: stepDistinct})
 	}
-	if stmt.Limit >= 0 {
+	if stmt.Limit >= 0 && !limitFirst {
 		steps = append(steps, topStep{kind: stepLimit, n: stmt.Limit})
 	}
 	return steps, nil

@@ -209,3 +209,74 @@ func TestBuildPlanOverValuesLeaves(t *testing.T) {
 		t.Fatalf("merge join: %d", rel.Cardinality())
 	}
 }
+
+func TestSourceBlockingStageNames(t *testing.T) {
+	for _, tc := range []struct {
+		sql  string
+		want string
+	}{
+		{"SELECT o.o_id FROM orders AS o WHERE o.o_id < 5 LIMIT 3", ""},
+		{"SELECT o.o_id, c.c_name FROM orders AS o JOIN customer AS c ON o.o_custkey = c.c_id", ""},
+		{"SELECT o.o_id FROM orders AS o ORDER BY o.o_id DESC", "sort"},
+		{"SELECT COUNT(*) FROM orders AS o", "aggregate"},
+		{"SELECT o.o_custkey, SUM(o.o_amount) FROM orders AS o GROUP BY o.o_custkey ORDER BY o.o_custkey", "sort"},
+		{"SELECT DISTINCT o.o_custkey FROM orders AS o", "distinct"},
+	} {
+		op, err := BuildPlan(sqlparser.MustParse(tc.sql), buildLeaves(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := BlockingStage(op); got != tc.want {
+			t.Fatalf("%s: blocking stage %q want %q", tc.sql, got, tc.want)
+		}
+	}
+}
+
+// TestBuildTopLimitBelowProjection pins LIMIT's early exit: on a tail with
+// no aggregate, sort or distinct the limit sits under the projection, so the
+// projection is charged only for the surviving rows and the output equals
+// the head of the unlimited result. Any reordering step keeps LIMIT on top.
+func TestBuildTopLimitBelowProjection(t *testing.T) {
+	run := func(sql string) (Operator, *sqltypes.Relation, Resources) {
+		t.Helper()
+		op, err := BuildPlan(sqlparser.MustParse(sql), buildLeaves(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := &Context{}
+		rel, err := op.Execute(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return op, rel, ctx.Res
+	}
+	const base = "SELECT o.o_id, o.o_amount * 2 AS a FROM orders AS o WHERE o.o_id > 10"
+	op, limited, limRes := run(base + " LIMIT 5")
+	if p, ok := op.(*Project); !ok {
+		t.Fatalf("plain tail must project over the limit:\n%s", ExplainTree(op))
+	} else if _, ok := p.Input.(*Limit); !ok {
+		t.Fatalf("plain tail must project over the limit:\n%s", ExplainTree(op))
+	}
+	_, full, fullRes := run(base)
+	if len(limited.Rows) != 5 {
+		t.Fatalf("limit rows: %d", len(limited.Rows))
+	}
+	for i, row := range limited.Rows {
+		if !rowsIdentical(row, full.Rows[i]) {
+			t.Fatalf("row %d: %v vs %v", i, row, full.Rows[i])
+		}
+	}
+	if limRes.CPUOps >= fullRes.CPUOps {
+		t.Fatalf("limit must charge less: %v >= %v CPU ops", limRes.CPUOps, fullRes.CPUOps)
+	}
+	for _, sql := range []string{
+		"SELECT o.o_id FROM orders AS o ORDER BY o.o_amount LIMIT 5",
+		"SELECT DISTINCT o.o_custkey FROM orders AS o LIMIT 5",
+		"SELECT o.o_custkey, COUNT(*) FROM orders AS o GROUP BY o.o_custkey LIMIT 5",
+	} {
+		op, _, _ := run(sql)
+		if _, ok := op.(*Limit); !ok {
+			t.Fatalf("%s: LIMIT must stay on top:\n%s", sql, ExplainTree(op))
+		}
+	}
+}

@@ -81,6 +81,28 @@ func explainInto(b *strings.Builder, op Operator, depth int) {
 	}
 }
 
+// BlockingStage walks a materialized plan and returns the name of the first
+// pipeline-breaking operator ("sort", "aggregate" or "distinct"), or "" when
+// the plan pipelines. The remote cursor uses this to decide whether a plan's
+// output can be split into batches on the first/next-tuple timing model; the
+// integrator reports it on the merge span.
+func BlockingStage(op Operator) string {
+	switch op.(type) {
+	case *Sort:
+		return "sort"
+	case *Aggregate, *ShardAggFinal:
+		return "aggregate"
+	case *Distinct:
+		return "distinct"
+	}
+	for _, c := range op.Children() {
+		if s := BlockingStage(c); s != "" {
+			return s
+		}
+	}
+	return ""
+}
+
 // Values is a leaf operator over an already-materialized relation — the
 // integrator wraps remote fragment results in Values before merging them.
 type Values struct {

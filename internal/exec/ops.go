@@ -27,9 +27,9 @@ func (f *Filter) Execute(ctx *Context) (*sqltypes.Relation, error) {
 	return filterRel(f.Pred, in, ctx)
 }
 
-// filterRel is the row-level filter kernel shared by the materialized
-// operator and FilterStream: it evaluates the predicate over one relation
-// (or batch) and charges one CPU op per input row.
+// filterRel is the row-level filter kernel shared by the Filter operator and
+// the vectorized executor's row fallback: it evaluates the predicate over one
+// relation and charges one CPU op per input row.
 func filterRel(pred sqlparser.Expr, in *sqltypes.Relation, ctx *Context) (*sqltypes.Relation, error) {
 	out := sqltypes.NewRelation(in.Schema)
 	for _, row := range in.Rows {
@@ -144,8 +144,8 @@ func (p *Project) Execute(ctx *Context) (*sqltypes.Relation, error) {
 	return projectRel(p.Items, in, ctx)
 }
 
-// projectRel is the row-level projection kernel shared by the materialized
-// operator and ProjectStream.
+// projectRel is the row-level projection kernel shared by the Project
+// operator and the vectorized executor's row fallback.
 func projectRel(items []sqlparser.SelectItem, in *sqltypes.Relation, ctx *Context) (*sqltypes.Relation, error) {
 	out := sqltypes.NewRelation(projectSchema(items, in.Schema))
 	for _, row := range in.Rows {
@@ -197,8 +197,9 @@ func (s *Sort) Execute(ctx *Context) (*sqltypes.Relation, error) {
 	return sortRel(s.Keys, in, ctx)
 }
 
-// sortRel is the sort kernel shared by the materialized operator and
-// SortSource; the n·log2(n) CPU charge covers the full input once.
+// sortRel is the sort kernel shared by the Sort operator and the vectorized
+// executor's row fallback; the n·log2(n) CPU charge covers the full input
+// once.
 func sortRel(keys []sqlparser.OrderItem, in *sqltypes.Relation, ctx *Context) (*sqltypes.Relation, error) {
 	type keyed struct {
 		row  sqltypes.Row
@@ -307,41 +308,25 @@ func (d *Distinct) Execute(ctx *Context) (*sqltypes.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	state := newDistinctState()
-	return state.fold(in, ctx), nil
-}
-
-// distinctState is the duplicate-elimination kernel shared by the
-// materialized operator and DistinctStream: the seen-set persists across
-// fold calls so duplicates are removed across batches.
-type distinctState struct {
-	seen map[uint64][]sqltypes.Row
-}
-
-func newDistinctState() *distinctState {
-	return &distinctState{seen: map[uint64][]sqltypes.Row{}}
-}
-
-// fold returns the not-seen-before rows of one relation (or batch),
-// charging two CPU ops per input row.
-func (s *distinctState) fold(in *sqltypes.Relation, ctx *Context) *sqltypes.Relation {
+	// Charges two CPU ops per input row.
+	seen := map[uint64][]sqltypes.Row{}
 	out := sqltypes.NewRelation(in.Schema)
 	for _, row := range in.Rows {
 		h := rowHash(row)
 		dup := false
-		for _, prev := range s.seen[h] {
+		for _, prev := range seen[h] {
 			if rowsIdentical(prev, row) {
 				dup = true
 				break
 			}
 		}
 		if !dup {
-			s.seen[h] = append(s.seen[h], row)
+			seen[h] = append(seen[h], row)
 			out.Rows = append(out.Rows, row)
 		}
 	}
 	ctx.Res.CPUOps += float64(len(in.Rows)) * 2
-	return out
+	return out, nil
 }
 
 // Explain implements Operator.

@@ -105,7 +105,7 @@ func ExecuteVectorized(op Operator, ctx *Context) (*colbatch.Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		return distinctBatch(in, newVDistinctState(), ctx), nil
+		return distinctBatch(in, ctx), nil
 
 	case *Aggregate:
 		in, err := ExecuteVectorized(x.Input, ctx)
@@ -403,39 +403,25 @@ func batchRowsIdentical(a *colbatch.Batch, i int, b *colbatch.Batch, j int) bool
 	return true
 }
 
-// vDistinctState is the columnar seen-set: the streaming distinct source
-// keeps one across batches, the materialized operator uses a fresh one.
-type vDistinctState struct {
-	seen map[uint64][]seenRow
-}
-
-type seenRow struct {
-	b *colbatch.Batch
-	i int
-}
-
-func newVDistinctState() *vDistinctState {
-	return &vDistinctState{seen: map[uint64][]seenRow{}}
-}
-
 // distinctBatch selects the not-seen-before rows, charging two CPU ops per
-// input row like distinctState.fold. Rows materialize only on hash-bucket
-// collisions.
-func distinctBatch(in *colbatch.Batch, state *vDistinctState, ctx *Context) *colbatch.Batch {
+// input row like the row Distinct operator. Rows materialize only on
+// hash-bucket collisions.
+func distinctBatch(in *colbatch.Batch, ctx *Context) *colbatch.Batch {
 	n := in.Len()
 	hs := batchRowHashes(in)
+	seen := map[uint64][]int{}
 	sel := make([]int, 0, n)
 	for i := 0; i < n; i++ {
 		h := hs[i]
 		dup := false
-		for _, prev := range state.seen[h] {
-			if batchRowsIdentical(prev.b, prev.i, in, i) {
+		for _, prev := range seen[h] {
+			if batchRowsIdentical(in, prev, in, i) {
 				dup = true
 				break
 			}
 		}
 		if !dup {
-			state.seen[h] = append(state.seen[h], seenRow{b: in, i: i})
+			seen[h] = append(seen[h], i)
 			sel = append(sel, i)
 		}
 	}

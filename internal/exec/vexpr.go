@@ -33,14 +33,14 @@ type vres struct {
 	n   int
 	tag int
 
-	konst  sqltypes.Value    // rConst: broadcast value
-	col    *colbatch.Column  // rCol: direct column of the batch
-	b      *colbatch.Batch   // rCol: window mapping
-	vals   []sqltypes.Value  // rVals: boxed, logical space
-	ints   []int64           // rInts
-	floats []float64         // rFloats
-	bools  []bool            // rBools
-	nulls  []bool            // rInts/rFloats/rBools: null bitmap (may be nil)
+	konst  sqltypes.Value   // rConst: broadcast value
+	col    *colbatch.Column // rCol: direct column of the batch
+	b      *colbatch.Batch  // rCol: window mapping
+	vals   []sqltypes.Value // rVals: boxed, logical space
+	ints   []int64          // rInts
+	floats []float64        // rFloats
+	bools  []bool           // rBools
+	nulls  []bool           // rInts/rFloats/rBools: null bitmap (may be nil)
 }
 
 const (

@@ -91,13 +91,6 @@ type Config struct {
 	// execution failure. Nil selects the default (2); point at zero to
 	// disable retries entirely. Negative values are treated as zero.
 	Retries *int
-	// BatchRows sizes the row batches of the streaming fragment data path:
-	// results ship from the remote servers as they are produced, overlapping
-	// remote compute with network transfer. Nil selects DefaultBatchRows;
-	// point at zero (see BatchRowsCount) to disable streaming and reproduce
-	// monolithic store-and-forward execution exactly. Negative values are
-	// treated as zero.
-	BatchRows *int
 	// MaxParallel bounds the fragment-dispatch fan-out per query (default
 	// GOMAXPROCS, minimum 1). Fragments beyond the bound queue for a slot.
 	MaxParallel int
@@ -127,20 +120,16 @@ const DefaultRetries = 2
 // RetryCount returns a *int for Config.Retries.
 func RetryCount(n int) *int { return &n }
 
-// DefaultBatchRows is the streaming batch size used when Config.BatchRows is
-// nil: large enough to amortize per-batch latency, small enough that a
+// fragmentBatchRows is the row count of each batch a fragment streams in:
+// large enough to amortize per-batch latency, small enough that a
 // multi-thousand-row fragment pipelines through many transfer/produce
 // overlaps.
-const DefaultBatchRows = 256
-
-// BatchRowsCount returns a *int for Config.BatchRows.
-func BatchRowsCount(n int) *int { return &n }
+const fragmentBatchRows = 256
 
 // II is the information integrator.
 type II struct {
 	cfg           Config
 	retries       int
-	batchRows     atomic.Int64
 	vectorized    atomic.Bool
 	shardPruning  atomic.Bool
 	shardPushdown atomic.Bool
@@ -162,13 +151,6 @@ func New(cfg Config) *II {
 	if cfg.MaxParallel <= 0 {
 		cfg.MaxParallel = runtime.GOMAXPROCS(0)
 	}
-	batchRows := DefaultBatchRows
-	if cfg.BatchRows != nil {
-		batchRows = *cfg.BatchRows
-		if batchRows < 0 {
-			batchRows = 0
-		}
-	}
 	ii := &II{
 		cfg:     cfg,
 		retries: retries,
@@ -182,7 +164,6 @@ func New(cfg Config) *II {
 		patroller: NewPatrollerWithCapacity(cfg.PatrollerCapacity),
 		plans:     newPlanCache(cfg.PlanCache),
 	}
-	ii.batchRows.Store(int64(batchRows))
 	ii.shardPruning.Store(true)
 	ii.shardPushdown.Store(true)
 	// The optimizer reads the shard toggles through this hook on every
@@ -195,18 +176,6 @@ func New(cfg Config) *II {
 		}
 	}
 	return ii
-}
-
-// BatchRows returns the current streaming batch size (0 = monolithic).
-func (ii *II) BatchRows() int { return int(ii.batchRows.Load()) }
-
-// SetBatchRows changes the streaming batch size at runtime; n <= 0 disables
-// streaming (monolithic store-and-forward execution).
-func (ii *II) SetBatchRows(n int) {
-	if n < 0 {
-		n = 0
-	}
-	ii.batchRows.Store(int64(n))
 }
 
 // Vectorized reports whether the II-side merge uses the columnar engine.
@@ -329,8 +298,8 @@ type QueryResult struct {
 	// (max fragment time) plus merge.
 	ResponseTime simclock.Time
 	// FirstRowTime is when the first merged result row could be emitted:
-	// under streaming, the latest first-batch arrival across fragments plus
-	// the merge; under monolithic execution it equals ResponseTime.
+	// the latest first-batch arrival across fragments plus the merge, which
+	// runs once over the drained fragments.
 	FirstRowTime simclock.Time
 	// Retried counts re-optimizations after fragment failures.
 	Retried int
@@ -386,9 +355,7 @@ func (ii *II) QueryContext(ctx context.Context, sql string) (*QueryResult, error
 		tel.Tracer().FinishTrace(trace, nil)
 	}
 	tel.Active().Counter("ii.queries", "").Inc()
-	if ii.BatchRows() > 0 {
-		tel.Active().Histogram("query.first_row_ms", "", nil).Observe(float64(res.FirstRowTime))
-	}
+	tel.Active().Histogram("query.first_row_ms", "", nil).Observe(float64(res.FirstRowTime))
 	_, end := ii.cfg.Clock.Charge(res.ResponseTime)
 	ii.patroller.CompleteWithWait(logID, end, res.ResponseTime, wait, nil)
 	// Release after charging so the next admitted waiter's queue wait spans
@@ -682,26 +649,10 @@ func shipMode(gp *optimizer.GlobalPlan, f optimizer.FragmentChoice, wire bool) s
 	}
 }
 
-// dispatchFragment runs one fragment through MW, streaming when batchRows is
-// positive (rows accumulate at the II as batches arrive) and monolithically
-// otherwise — the latter is the bit-for-bit compatible escape hatch.
-func (ii *II) dispatchFragment(ctx context.Context, f optimizer.FragmentChoice, batchRows int) (fragOutcome, error) {
-	if batchRows <= 0 {
-		out, err := ii.cfg.MW.ExecuteFragment(ctx, f.ServerID, f.Spec.Stmt.String(), f.Plan, f.RawEst)
-		if err != nil {
-			return fragOutcome{}, err
-		}
-		return fragOutcome{
-			rel:      out.Result.Rel,
-			col:      out.Result.Col,
-			respTime: out.ResponseTime,
-			firstRow: out.ResponseTime,
-			serverID: f.ServerID,
-			fragID:   f.Spec.ID,
-			wire:     out.Result.Rel == nil && out.Result.Col != nil,
-		}, nil
-	}
-	st, err := ii.cfg.MW.OpenFragmentStream(ctx, f.ServerID, f.Spec.Stmt.String(), f.Plan, f.RawEst, batchRows)
+// dispatchFragment streams one fragment through MW in batches of
+// fragmentBatchRows, accumulating the rows at the II as the batches arrive.
+func (ii *II) dispatchFragment(ctx context.Context, f optimizer.FragmentChoice) (fragOutcome, error) {
+	st, err := ii.cfg.MW.OpenFragmentStream(ctx, f.ServerID, f.Spec.Stmt.String(), f.Plan, f.RawEst, fragmentBatchRows)
 	if err != nil {
 		return fragOutcome{}, err
 	}
@@ -769,7 +720,6 @@ func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*Qu
 	defer cancel()
 	fctx = simclock.WithDeadline(fctx, ii.cfg.FragmentBudget)
 
-	batchRows := ii.BatchRows()
 	outcomes := make([]fragOutcome, len(gp.Fragments))
 	sem := make(chan struct{}, ii.cfg.MaxParallel)
 	var (
@@ -834,7 +784,7 @@ func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*Qu
 			if fspan != nil {
 				dctx = telemetry.ContextWithSpan(fctx, fspan)
 			}
-			out, err := ii.dispatchFragment(dctx, f, batchRows)
+			out, err := ii.dispatchFragment(dctx, f)
 			if err != nil {
 				fspan.SetAttr("error", err.Error())
 				fspan.End(0)
@@ -879,7 +829,7 @@ func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*Qu
 		}
 	}
 
-	rel, mergeTime, blocking, err := ii.merge(gp, fragRels, fragCols, batchRows)
+	rel, mergeTime, blocking, err := ii.merge(gp, fragRels, fragCols)
 	if err != nil {
 		return nil, err
 	}
@@ -907,14 +857,12 @@ func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*Qu
 	}, nil
 }
 
-// merge combines fragment results at the II node. With batchRows > 0 the
-// non-join tail runs as a streaming pipeline over the shared kernels (union
-// passes batches through, aggregation folds per batch, sort blocks and is
-// reported via the returned blocking stage name); batchRows <= 0 keeps the
-// historical materialized path. Both paths interpret the same planTopSteps
-// list over the same kernels, so results and resource charges are identical
-// — except LIMIT, which under streaming stops pulling once satisfied.
-func (ii *II) merge(gp *optimizer.GlobalPlan, fragRels []*sqltypes.Relation, fragCols []*colbatch.Batch, batchRows int) (*sqltypes.Relation, simclock.Time, string, error) {
+// merge combines fragment results at the II node in one materialized pass.
+// Every fragment has been drained before the merge runs, so the merge plan
+// executes once over Values leaves holding the arrived rows (or batches). It
+// returns the merged rows, the merge's virtual time and the plan's first
+// pipeline-breaking stage (exec.BlockingStage) for the merge span.
+func (ii *II) merge(gp *optimizer.GlobalPlan, fragRels []*sqltypes.Relation, fragCols []*colbatch.Batch) (*sqltypes.Relation, simclock.Time, string, error) {
 	// The columnar merge engages only when the flag is on AND every fragment
 	// arrived with a columnar payload — a row-engine remote anywhere in the
 	// query demotes the whole merge to the row path.
@@ -941,87 +889,65 @@ func (ii *II) merge(gp *optimizer.GlobalPlan, fragRels []*sqltypes.Relation, fra
 	}
 	ctx := &exec.Context{}
 	if gp.Decomp.SingleFragment {
-		if batchRows > 0 {
-			if vec {
-				out, err := exec.CollectCol(exec.NewValuesColSource(fragCols[0], batchRows), ctx)
-				if err != nil {
-					return nil, 0, "", fmt.Errorf("integrator: merging: %w", err)
-				}
-				return out.ToRelation(), ii.cfg.Node.Observe(ctx.Res), "", nil
-			}
-			// Union/concat pass-through: batches fold straight into the
-			// result as they arrive; the per-row cursor charge matches the
-			// materialized accounting below exactly.
-			rel, err := exec.Collect(exec.NewValuesSource(fragRels[0], batchRows), ctx)
-			if err != nil {
-				return nil, 0, "", fmt.Errorf("integrator: merging: %w", err)
-			}
-			return rel, ii.cfg.Node.Observe(ctx.Res), "", nil
-		}
+		// The remote ran the whole statement: the rows pass through,
+		// charged the one op per row a Values leaf charges.
 		rel := fragRels[0]
 		if rel == nil {
-			// Monolithic + columnar wire: the single fragment arrived as a
-			// batch; materialize at the very edge, charging the same one op
-			// per row the pass-through merge charges.
 			rel = fragCols[0].ToRelation()
 		}
 		ctx.Res.CPUOps = float64(rel.Cardinality())
 		return rel, ii.cfg.Node.Observe(ctx.Res), "", nil
 	}
+	top, err := mergePlan(gp, fragRels, fragCols, vec)
+	if err != nil {
+		return nil, 0, "", fmt.Errorf("integrator: building merge plan: %w", err)
+	}
+	var rel *sqltypes.Relation
+	if vec {
+		out, err := exec.ExecuteVectorized(top, ctx)
+		if err != nil {
+			return nil, 0, "", fmt.Errorf("integrator: merging: %w", err)
+		}
+		rel = out.ToRelation()
+	} else if rel, err = top.Execute(ctx); err != nil {
+		return nil, 0, "", fmt.Errorf("integrator: merging: %w", err)
+	}
+	return rel, ii.cfg.Node.Observe(ctx.Res), exec.BlockingStage(top), nil
+}
 
+// mergePlan builds the II-side operator tree over the fragment results. When
+// the merge is columnar, each Values leaf carries its fragment's batch so the
+// vectorized executor starts from the arrived columns directly.
+func mergePlan(gp *optimizer.GlobalPlan, fragRels []*sqltypes.Relation, fragCols []*colbatch.Batch, vec bool) (exec.Operator, error) {
 	// Scatter-gather: per-shard fragments sharing Shard.Of concatenate into
 	// one logical fragment before merging. Unsharded plans pass through with
 	// the original per-fragment slices untouched, so their merge is
 	// bit-identical to the pre-sharding engine.
 	ids, rels, cols := logicalFragments(gp, fragRels, fragCols, vec)
+	leaf := func(i int) *exec.Values {
+		v := &exec.Values{Rel: rels[i], Label: ids[i]}
+		if vec {
+			v.Col = cols[i]
+		}
+		return v
+	}
 
 	if sh := gp.Decomp.Sharded; sh != nil {
 		// Single sharded table: the union of shard results feeds the
 		// statement tail directly — ShardAggFinal merges partial aggregate
 		// states under pushdown, BuildTop applies the full tail over
 		// gathered rows otherwise.
-		leaf := &exec.Values{Rel: rels[0], Label: sh.FragID}
-		if vec {
-			leaf.Col = cols[0]
-		}
-		var top exec.Operator
-		var err error
 		if sh.Partial != nil {
-			top, err = exec.BuildShardFinal(gp.Stmt, sh.Base, leaf)
-		} else {
-			top, err = exec.BuildTop(gp.Stmt, leaf)
+			return exec.BuildShardFinal(gp.Stmt, sh.Base, leaf(0))
 		}
-		if err != nil {
-			return nil, 0, "", fmt.Errorf("integrator: building merge plan: %w", err)
-		}
-		if vec {
-			out, err := exec.ExecuteVectorized(top, ctx)
-			if err != nil {
-				return nil, 0, "", fmt.Errorf("integrator: merging: %w", err)
-			}
-			return out.ToRelation(), ii.cfg.Node.Observe(ctx.Res), "", nil
-		}
-		rel, err := top.Execute(ctx)
-		if err != nil {
-			return nil, 0, "", fmt.Errorf("integrator: merging: %w", err)
-		}
-		return rel, ii.cfg.Node.Observe(ctx.Res), "", nil
+		return exec.BuildTop(gp.Stmt, leaf(0))
 	}
 
-	// Join fragments left-to-right on the cross-source conjuncts. When the
-	// merge is columnar, each Values leaf carries its fragment's batch so the
-	// vectorized executor starts from the arrived columns directly.
+	// Join fragments left-to-right on the cross-source conjuncts.
 	cross := append([]sqlparser.Expr(nil), gp.Decomp.Cross...)
-	left := &exec.Values{Rel: rels[0], Label: ids[0]}
-	if vec {
-		left.Col = cols[0]
-	}
-	var current exec.Operator = left
+	var current exec.Operator = leaf(0)
 	for i := 1; i < len(rels); i++ {
-		right := &exec.Values{Rel: rels[i], Label: ids[i]}
-		if vec {
-			right.Col = cols[i]
-		}
+		right := leaf(i)
 		lk, rk, rest, ok := exec.ExtractEquiJoinKeys(cross, current.Schema(), right.Schema())
 		if ok {
 			joined := current.Schema().Concat(right.Schema())
@@ -1058,56 +984,7 @@ func (ii *II) merge(gp *optimizer.GlobalPlan, fragRels []*sqltypes.Relation, fra
 	if len(cross) > 0 {
 		current = &exec.Filter{Input: current, Pred: sqlparser.JoinConjuncts(cross)}
 	}
-	if batchRows > 0 {
-		// The join tree materializes (hash/NL joins need their full inputs),
-		// then the non-join tail streams over it batch by batch.
-		if vec {
-			joined, err := exec.ExecuteVectorized(current, ctx)
-			if err != nil {
-				return nil, 0, "", fmt.Errorf("integrator: merging: %w", err)
-			}
-			src, err := exec.BuildTopColSource(gp.Stmt, exec.ColSourceFromBatch(joined, batchRows))
-			if err != nil {
-				return nil, 0, "", fmt.Errorf("integrator: building merge pipeline: %w", err)
-			}
-			blocking := exec.ColSourceBlockingStage(src)
-			out, err := exec.CollectCol(src, ctx)
-			if err != nil {
-				return nil, 0, "", fmt.Errorf("integrator: merging: %w", err)
-			}
-			return out.ToRelation(), ii.cfg.Node.Observe(ctx.Res), blocking, nil
-		}
-		joined, err := current.Execute(ctx)
-		if err != nil {
-			return nil, 0, "", fmt.Errorf("integrator: merging: %w", err)
-		}
-		src, err := exec.BuildTopSource(gp.Stmt, exec.SourceFromRelation(joined, batchRows))
-		if err != nil {
-			return nil, 0, "", fmt.Errorf("integrator: building merge pipeline: %w", err)
-		}
-		blocking := exec.SourceBlockingStage(src)
-		rel, err := exec.Collect(src, ctx)
-		if err != nil {
-			return nil, 0, "", fmt.Errorf("integrator: merging: %w", err)
-		}
-		return rel, ii.cfg.Node.Observe(ctx.Res), blocking, nil
-	}
-	top, err := exec.BuildTop(gp.Stmt, current)
-	if err != nil {
-		return nil, 0, "", fmt.Errorf("integrator: building merge plan: %w", err)
-	}
-	if vec {
-		out, err := exec.ExecuteVectorized(top, ctx)
-		if err != nil {
-			return nil, 0, "", fmt.Errorf("integrator: merging: %w", err)
-		}
-		return out.ToRelation(), ii.cfg.Node.Observe(ctx.Res), "", nil
-	}
-	rel, err := top.Execute(ctx)
-	if err != nil {
-		return nil, 0, "", fmt.Errorf("integrator: merging: %w", err)
-	}
-	return rel, ii.cfg.Node.Observe(ctx.Res), "", nil
+	return exec.BuildTop(gp.Stmt, current)
 }
 
 // logicalFragments folds per-shard fragment results into logical fragments:

@@ -262,15 +262,6 @@ func (q *QCC) StatsSnapshot() Stats {
 	return Stats{Compiles: q.compiles, Runs: q.runs, Errors: q.errors}
 }
 
-// Stats reports QCC's interaction counters.
-//
-// Deprecated: use StatsSnapshot, which returns a named struct instead of
-// positional values.
-func (q *QCC) Stats() (compiles, runs, errors int64) {
-	s := q.StatsSnapshot()
-	return s.Compiles, s.Runs, s.Errors
-}
-
 // ---- metawrapper.Observer ----
 
 // ObserveCompile implements metawrapper.Observer.

@@ -224,12 +224,12 @@ func TestQCCStatsCounters(t *testing.T) {
 	if _, err := sc.II.Query(scanQuery); err != nil {
 		t.Fatal(err)
 	}
-	compiles, runs, errs := q.Stats()
-	if compiles == 0 || runs == 0 {
-		t.Fatalf("counters: c=%d r=%d", compiles, runs)
+	st := q.StatsSnapshot()
+	if st.Compiles == 0 || st.Runs == 0 {
+		t.Fatalf("counters: c=%d r=%d", st.Compiles, st.Runs)
 	}
-	if errs != 0 {
-		t.Fatalf("unexpected errors: %d", errs)
+	if st.Errors != 0 {
+		t.Fatalf("unexpected errors: %d", st.Errors)
 	}
 }
 
@@ -240,8 +240,7 @@ func TestQCCDetach(t *testing.T) {
 	if _, err := sc.II.Query(scanQuery); err != nil {
 		t.Fatal(err)
 	}
-	_, runs, _ := q.Stats()
-	if runs != 0 {
+	if runs := q.StatsSnapshot().Runs; runs != 0 {
 		t.Fatalf("detached QCC must not observe: %d", runs)
 	}
 }

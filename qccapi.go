@@ -170,12 +170,6 @@ type QCCStats = qcc.Stats
 // StatsSnapshot returns a consistent snapshot of QCC's interaction counters.
 func (c *Calibrator) StatsSnapshot() QCCStats { return c.q.StatsSnapshot() }
 
-// Stats reports QCC's interaction counters.
-//
-// Deprecated: use StatsSnapshot, which returns a named struct instead of
-// positional values.
-func (c *Calibrator) Stats() (compiles, runs, errors int64) { return c.q.Stats() }
-
 // Rotations reports how often load distribution substituted an alternative
 // plan.
 func (c *Calibrator) Rotations() int {

@@ -267,3 +267,46 @@ func TestReplTelemetryCommands(t *testing.T) {
 		t.Fatalf("timeline dump missing samples:\n%s", timeline)
 	}
 }
+
+// TestMergeSpanBlockingStage checks that the merge span names the merge
+// plan's first pipeline-breaking operator (exec.BlockingStage) and carries
+// no blocking attribute when the merge pipelines.
+func TestMergeSpanBlockingStage(t *testing.T) {
+	const join = "SELECT o.o_priority, l.l_tag FROM orders AS o JOIN lineitem AS l ON o.o_id = l.l_orderkey WHERE o.o_amount > 9000"
+	fed, err := fedqcc.NewReplicaFederation(fedqcc.FederationOptions{Scale: 20, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel := fed.EnableTelemetry()
+	for _, tc := range []struct{ sql, want string }{
+		{join, ""},
+		{join + " LIMIT 7", ""},
+		{join + " ORDER BY l.l_tag", "sort"},
+		{"SELECT DISTINCT o.o_priority, l.l_tag FROM orders AS o JOIN lineitem AS l ON o.o_id = l.l_orderkey", "distinct"},
+		{"SELECT o.o_priority, COUNT(*) FROM orders AS o JOIN lineitem AS l ON o.o_id = l.l_orderkey GROUP BY o.o_priority", "aggregate"},
+	} {
+		res, err := fed.Query(tc.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Route) < 2 {
+			t.Fatalf("%s: needs an II-side join merge, got route %v", tc.sql, res.Route)
+		}
+		tr := tel.Tracer().Last()
+		got, merges := "", 0
+		for _, c := range tr.Root.Children() {
+			if c.Name() != "merge" {
+				continue
+			}
+			merges++
+			for _, a := range c.Attrs() {
+				if a.Key == "blocking" {
+					got = a.Value
+				}
+			}
+		}
+		if merges != 1 || got != tc.want {
+			t.Fatalf("%s: %d merge spans, blocking %q, want one with %q:\n%s", tc.sql, merges, got, tc.want, tr.Tree())
+		}
+	}
+}
