@@ -167,9 +167,17 @@ func newAggFolder(groupBy []sqlparser.Expr, aggs []*sqlparser.AggExpr) *aggFolde
 // fold accumulates one batch of rows, charging the same per-row CPU cost the
 // materialized operator charges for its whole input.
 func (f *aggFolder) fold(in *sqltypes.Relation, ctx *Context) error {
+	groupBy := make([]sqlparser.Expr, len(f.groupBy))
+	for i, g := range f.groupBy {
+		groupBy[i] = sqlparser.Bind(g, in.Schema)
+	}
+	args := make([]sqlparser.Expr, len(f.aggs))
+	for i, agg := range f.aggs {
+		args[i] = sqlparser.Bind(agg.Arg, in.Schema)
+	}
 	for _, row := range in.Rows {
-		keys := make(sqltypes.Row, len(f.groupBy))
-		for i, g := range f.groupBy {
+		keys := make(sqltypes.Row, len(groupBy))
+		for i, g := range groupBy {
 			v, err := sqlparser.Eval(g, row, in.Schema)
 			if err != nil {
 				return err
@@ -193,11 +201,11 @@ func (f *aggFolder) fold(in *sqltypes.Relation, ctx *Context) error {
 			f.order = append(f.order, grp)
 		}
 		grp.countStar++
-		for i, agg := range f.aggs {
-			if agg.Arg == nil {
+		for i, arg := range args {
+			if arg == nil {
 				continue // COUNT(*): handled by countStar
 			}
-			v, err := sqlparser.Eval(agg.Arg, row, in.Schema)
+			v, err := sqlparser.Eval(arg, row, in.Schema)
 			if err != nil {
 				return err
 			}

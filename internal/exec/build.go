@@ -43,7 +43,7 @@ func BuildPlan(stmt *sqlparser.SelectStmt, leaves map[string]Operator) (Operator
 		placed := false
 		for _, tr := range tables {
 			name := tr.EffectiveName()
-			if exprResolves(c, planFor[name].Schema()) {
+			if sqlparser.Resolves(c, planFor[name].Schema()) {
 				planFor[name] = &Filter{Input: planFor[name], Pred: c}
 				placed = true
 				break
@@ -65,7 +65,7 @@ func BuildPlan(stmt *sqlparser.SelectStmt, leaves map[string]Operator) (Operator
 			joined := current.Schema().Concat(right.Schema())
 			var residuals, remaining []sqlparser.Expr
 			for _, c := range rest {
-				if exprResolves(c, joined) {
+				if sqlparser.Resolves(c, joined) {
 					residuals = append(residuals, c)
 				} else {
 					remaining = append(remaining, c)
@@ -85,7 +85,7 @@ func BuildPlan(stmt *sqlparser.SelectStmt, leaves map[string]Operator) (Operator
 		joined := current.Schema().Concat(right.Schema())
 		var preds, remaining []sqlparser.Expr
 		for _, c := range crossTable {
-			if exprResolves(c, joined) {
+			if sqlparser.Resolves(c, joined) {
 				preds = append(preds, c)
 			} else {
 				remaining = append(remaining, c)
@@ -180,7 +180,7 @@ func planTopSteps(stmt *sqlparser.SelectStmt, schema *sqltypes.Schema) ([]topSte
 	if len(orderBy) > 0 {
 		resolvable := true
 		for _, o := range orderBy {
-			if !exprResolves(o.Expr, schema) {
+			if !sqlparser.Resolves(o.Expr, schema) {
 				resolvable = false
 				break
 			}
@@ -262,15 +262,4 @@ func dropTrueLiterals(list []sqlparser.Expr) []sqlparser.Expr {
 		out = append(out, e)
 	}
 	return out
-}
-
-// exprResolves reports whether every column reference in e resolves in the
-// schema.
-func exprResolves(e sqlparser.Expr, schema *sqltypes.Schema) bool {
-	for _, ref := range sqlparser.CollectColumnRefs(e, nil) {
-		if _, err := schema.ColumnIndex(ref.Table, ref.Name); err != nil {
-			return false
-		}
-	}
-	return true
 }

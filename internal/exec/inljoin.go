@@ -47,6 +47,8 @@ func (j *IndexNLJoin) Execute(ctx *Context) (*sqltypes.Relation, error) {
 	}
 	outSchema := outer.Schema.Concat(j.innerSchema())
 	out := sqltypes.NewRelation(outSchema)
+	outerKey := sqlparser.Bind(j.OuterKey, outer.Schema)
+	residual := sqlparser.Bind(j.Residual, outSchema)
 	n := float64(j.Index.Len())
 	descent := 1.0
 	if n > 2 {
@@ -54,7 +56,7 @@ func (j *IndexNLJoin) Execute(ctx *Context) (*sqltypes.Relation, error) {
 	}
 	var probes, fetches float64
 	for _, orow := range outer.Rows {
-		k, err := sqlparser.Eval(j.OuterKey, orow, outer.Schema)
+		k, err := sqlparser.Eval(outerKey, orow, outer.Schema)
 		if err != nil {
 			return nil, err
 		}
@@ -69,8 +71,8 @@ func (j *IndexNLJoin) Execute(ctx *Context) (*sqltypes.Relation, error) {
 			}
 			fetches++
 			joined := orow.Concat(irow)
-			if j.Residual != nil {
-				ok, err := sqlparser.EvalBool(j.Residual, joined, outSchema)
+			if residual != nil {
+				ok, err := sqlparser.EvalBool(residual, joined, outSchema)
 				if err != nil {
 					return nil, err
 				}

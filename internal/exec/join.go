@@ -40,11 +40,14 @@ func (j *HashJoin) Execute(ctx *Context) (*sqltypes.Relation, error) {
 func hashJoinRel(j *HashJoin, build, probe *sqltypes.Relation, ctx *Context) (*sqltypes.Relation, error) {
 	outSchema := build.Schema.Concat(probe.Schema)
 	out := sqltypes.NewRelation(outSchema)
+	buildKey := sqlparser.Bind(j.BuildKey, build.Schema)
+	probeKey := sqlparser.Bind(j.ProbeKey, probe.Schema)
+	residual := sqlparser.Bind(j.Residual, outSchema)
 
 	ht := make(map[uint64][]sqltypes.Row, len(build.Rows))
 	keys := make(map[uint64][]sqltypes.Value)
 	for _, row := range build.Rows {
-		k, err := sqlparser.Eval(j.BuildKey, row, build.Schema)
+		k, err := sqlparser.Eval(buildKey, row, build.Schema)
 		if err != nil {
 			return nil, err
 		}
@@ -56,7 +59,7 @@ func hashJoinRel(j *HashJoin, build, probe *sqltypes.Relation, ctx *Context) (*s
 		keys[h] = append(keys[h], k)
 	}
 	for _, prow := range probe.Rows {
-		k, err := sqlparser.Eval(j.ProbeKey, prow, probe.Schema)
+		k, err := sqlparser.Eval(probeKey, prow, probe.Schema)
 		if err != nil {
 			return nil, err
 		}
@@ -71,8 +74,8 @@ func hashJoinRel(j *HashJoin, build, probe *sqltypes.Relation, ctx *Context) (*s
 				continue
 			}
 			joined := brow.Concat(prow)
-			if j.Residual != nil {
-				ok, err := sqlparser.EvalBool(j.Residual, joined, outSchema)
+			if residual != nil {
+				ok, err := sqlparser.EvalBool(residual, joined, outSchema)
 				if err != nil {
 					return nil, err
 				}
@@ -123,11 +126,12 @@ func (j *NestedLoopJoin) Execute(ctx *Context) (*sqltypes.Relation, error) {
 	}
 	outSchema := outer.Schema.Concat(inner.Schema)
 	out := sqltypes.NewRelation(outSchema)
+	pred := sqlparser.Bind(j.Pred, outSchema)
 	for _, orow := range outer.Rows {
 		for _, irow := range inner.Rows {
 			joined := orow.Concat(irow)
-			if j.Pred != nil {
-				ok, err := sqlparser.EvalBool(j.Pred, joined, outSchema)
+			if pred != nil {
+				ok, err := sqlparser.EvalBool(pred, joined, outSchema)
 				if err != nil {
 					return nil, err
 				}
@@ -169,9 +173,9 @@ func ExtractEquiJoinKeys(conjuncts []sqlparser.Expr, left, right *sqltypes.Schem
 			continue
 		}
 		switch {
-		case resolves(lref, left) && resolves(rref, right):
+		case sqlparser.Resolves(lref, left) && sqlparser.Resolves(rref, right):
 			lk, rk = be.Left, be.Right
-		case resolves(rref, left) && resolves(lref, right):
+		case sqlparser.Resolves(rref, left) && sqlparser.Resolves(lref, right):
 			lk, rk = be.Right, be.Left
 		default:
 			continue
@@ -180,9 +184,4 @@ func ExtractEquiJoinKeys(conjuncts []sqlparser.Expr, left, right *sqltypes.Schem
 		return lk, rk, rest, true
 	}
 	return nil, nil, conjuncts, false
-}
-
-func resolves(ref *sqlparser.ColumnRef, schema *sqltypes.Schema) bool {
-	_, err := schema.ColumnIndex(ref.Table, ref.Name)
-	return err == nil
 }

@@ -32,6 +32,7 @@ type keyedRows struct {
 
 func sortByKey(rel *sqltypes.Relation, key sqlparser.Expr) (*keyedRows, error) {
 	kr := &keyedRows{rows: make([]sqltypes.Row, 0, len(rel.Rows)), keys: make([]sqltypes.Value, 0, len(rel.Rows))}
+	key = sqlparser.Bind(key, rel.Schema)
 	for _, row := range rel.Rows {
 		k, err := sqlparser.Eval(key, row, rel.Schema)
 		if err != nil {
@@ -72,6 +73,7 @@ func (j *MergeJoin) Execute(ctx *Context) (*sqltypes.Relation, error) {
 	}
 	outSchema := left.Schema.Concat(right.Schema)
 	out := sqltypes.NewRelation(outSchema)
+	residual := sqlparser.Bind(j.Residual, outSchema)
 
 	l, err := sortByKey(left, j.LeftKey)
 	if err != nil {
@@ -102,8 +104,8 @@ func (j *MergeJoin) Execute(ctx *Context) (*sqltypes.Relation, error) {
 			for a := li; a < lEnd; a++ {
 				for b := ri; b < rEnd; b++ {
 					joined := l.rows[a].Concat(r.rows[b])
-					if j.Residual != nil {
-						ok, err := sqlparser.EvalBool(j.Residual, joined, outSchema)
+					if residual != nil {
+						ok, err := sqlparser.EvalBool(residual, joined, outSchema)
 						if err != nil {
 							return nil, err
 						}

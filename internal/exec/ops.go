@@ -32,6 +32,7 @@ func (f *Filter) Execute(ctx *Context) (*sqltypes.Relation, error) {
 // relation and charges one CPU op per input row.
 func filterRel(pred sqlparser.Expr, in *sqltypes.Relation, ctx *Context) (*sqltypes.Relation, error) {
 	out := sqltypes.NewRelation(in.Schema)
+	pred = sqlparser.Bind(pred, in.Schema)
 	for _, row := range in.Rows {
 		ok, err := sqlparser.EvalBool(pred, row, in.Schema)
 		if err != nil {
@@ -148,14 +149,22 @@ func (p *Project) Execute(ctx *Context) (*sqltypes.Relation, error) {
 // operator and the vectorized executor's row fallback.
 func projectRel(items []sqlparser.SelectItem, in *sqltypes.Relation, ctx *Context) (*sqltypes.Relation, error) {
 	out := sqltypes.NewRelation(projectSchema(items, in.Schema))
+	exprs := make([]sqlparser.Expr, len(items))
+	for i, item := range items {
+		if !item.Star {
+			exprs[i] = sqlparser.Bind(item.Expr, in.Schema)
+		}
+	}
+	width := out.Schema.Len()
+	out.Rows = make([]sqltypes.Row, 0, len(in.Rows))
 	for _, row := range in.Rows {
-		var outRow sqltypes.Row
-		for _, item := range items {
+		outRow := make(sqltypes.Row, 0, width)
+		for i, item := range items {
 			if item.Star {
 				outRow = append(outRow, row...)
 				continue
 			}
-			v, err := sqlparser.Eval(item.Expr, row, in.Schema)
+			v, err := sqlparser.Eval(exprs[i], row, in.Schema)
 			if err != nil {
 				return nil, err
 			}
@@ -205,11 +214,15 @@ func sortRel(keys []sqlparser.OrderItem, in *sqltypes.Relation, ctx *Context) (*
 		row  sqltypes.Row
 		keys []sqltypes.Value
 	}
+	exprs := make([]sqlparser.Expr, len(keys))
+	for j, k := range keys {
+		exprs[j] = sqlparser.Bind(k.Expr, in.Schema)
+	}
 	items := make([]keyed, len(in.Rows))
 	for i, row := range in.Rows {
 		ks := make([]sqltypes.Value, len(keys))
-		for j, k := range keys {
-			v, err := sqlparser.Eval(k.Expr, row, in.Schema)
+		for j, e := range exprs {
+			v, err := sqlparser.Eval(e, row, in.Schema)
 			if err != nil {
 				return nil, err
 			}

@@ -33,6 +33,7 @@ func (s *SeqScan) effectiveName() string {
 // Execute implements Operator.
 func (s *SeqScan) Execute(ctx *Context) (*sqltypes.Relation, error) {
 	out := sqltypes.NewRelation(s.Schema())
+	out.Rows = make([]sqltypes.Row, 0, s.Table.RowCount())
 	err := s.Table.Scan(func(row sqltypes.Row) error {
 		out.Rows = append(out.Rows, row)
 		return nil
@@ -246,27 +247,8 @@ func flip(op sqlparser.BinaryOp) sqlparser.BinaryOp {
 }
 
 func refMatches(ref *sqlparser.ColumnRef, alias, column string) bool {
-	if !strEqualFold(ref.Name, column) {
+	if !sqltypes.EqualFold(ref.Name, column) {
 		return false
 	}
-	return ref.Table == "" || strEqualFold(ref.Table, alias)
-}
-
-func strEqualFold(a, b string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := 0; i < len(a); i++ {
-		ca, cb := a[i], b[i]
-		if 'A' <= ca && ca <= 'Z' {
-			ca += 'a' - 'A'
-		}
-		if 'A' <= cb && cb <= 'Z' {
-			cb += 'a' - 'A'
-		}
-		if ca != cb {
-			return false
-		}
-	}
-	return true
+	return ref.Table == "" || sqltypes.EqualFold(ref.Table, alias)
 }

@@ -953,7 +953,7 @@ func mergePlan(gp *optimizer.GlobalPlan, fragRels []*sqltypes.Relation, fragCols
 			joined := current.Schema().Concat(right.Schema())
 			var residuals, remaining []sqlparser.Expr
 			for _, c := range rest {
-				if exprResolves(c, joined) {
+				if sqlparser.Resolves(c, joined) {
 					residuals = append(residuals, c)
 				} else {
 					remaining = append(remaining, c)
@@ -972,7 +972,7 @@ func mergePlan(gp *optimizer.GlobalPlan, fragRels []*sqltypes.Relation, fragCols
 		joined := current.Schema().Concat(right.Schema())
 		var preds, remaining []sqlparser.Expr
 		for _, c := range cross {
-			if exprResolves(c, joined) {
+			if sqlparser.Resolves(c, joined) {
 				preds = append(preds, c)
 			} else {
 				remaining = append(remaining, c)
@@ -1050,13 +1050,4 @@ func logicalFragments(gp *optimizer.GlobalPlan, fragRels []*sqltypes.Relation, f
 		}
 	}
 	return ids, rels, cols
-}
-
-func exprResolves(e sqlparser.Expr, schema *sqltypes.Schema) bool {
-	for _, ref := range sqlparser.CollectColumnRefs(e, nil) {
-		if _, err := schema.ColumnIndex(ref.Table, ref.Name); err != nil {
-			return false
-		}
-	}
-	return true
 }

@@ -153,7 +153,7 @@ func DecomposeWith(stmt *sqlparser.SelectStmt, cat *catalog.Catalog, opts Decomp
 	for _, c := range pool {
 		placed := false
 		for i := range groups {
-			if exprResolves(c, schemas[i]) {
+			if sqlparser.Resolves(c, schemas[i]) {
 				pushed[i] = append(pushed[i], c)
 				placed = true
 				break
@@ -234,13 +234,4 @@ func dropTrueLiterals(list []sqlparser.Expr) []sqlparser.Expr {
 		out = append(out, e)
 	}
 	return out
-}
-
-func exprResolves(e sqlparser.Expr, schema *sqltypes.Schema) bool {
-	for _, ref := range sqlparser.CollectColumnRefs(e, nil) {
-		if _, err := schema.ColumnIndex(ref.Table, ref.Name); err != nil {
-			return false
-		}
-	}
-	return true
 }

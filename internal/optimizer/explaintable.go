@@ -31,10 +31,20 @@ type ExplainEntry struct {
 	TotalEstMS float64
 }
 
-// ExplainTable stores compilation winners. It is safe for concurrent use.
+// explainTableCapacity bounds the entries an ExplainTable keeps, the same
+// bound the integrator's patroller log applies by default: once full, each
+// new winner overwrites the oldest, so a long-running federation's table
+// stays a fixed size instead of growing with every compile.
+const explainTableCapacity = 4096
+
+// ExplainTable stores the most recent compilation winners. It is safe for
+// concurrent use.
 type ExplainTable struct {
-	mu      sync.RWMutex
+	mu sync.RWMutex
+	// entries is a ring once it reaches explainTableCapacity; oldest
+	// indexes its oldest entry (always 0 before the ring is full).
 	entries []ExplainEntry
+	oldest  int
 }
 
 // NewExplainTable returns an empty table.
@@ -64,30 +74,43 @@ func (t *ExplainTable) Record(gp *GlobalPlan, at simclock.Time) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.entries = append(t.entries, e)
+	if len(t.entries) < explainTableCapacity {
+		t.entries = append(t.entries, e)
+		return
+	}
+	t.entries[t.oldest] = e
+	t.oldest = (t.oldest + 1) % len(t.entries)
 }
 
-// Entries returns a snapshot of all entries.
+// at returns the i-th retained entry, oldest first; callers hold mu.
+func (t *ExplainTable) at(i int) *ExplainEntry {
+	return &t.entries[(t.oldest+i)%len(t.entries)]
+}
+
+// Entries returns a snapshot of the retained entries, oldest first.
 func (t *ExplainTable) Entries() []ExplainEntry {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return append([]ExplainEntry(nil), t.entries...)
+	out := make([]ExplainEntry, 0, len(t.entries))
+	out = append(out, t.entries[t.oldest:]...)
+	return append(out, t.entries[:t.oldest]...)
 }
 
-// Latest returns the most recent entry for the given query text, or nil.
+// Latest returns the most recent retained entry for the given query text,
+// or nil.
 func (t *ExplainTable) Latest(query string) *ExplainEntry {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	for i := len(t.entries) - 1; i >= 0; i-- {
-		if t.entries[i].Query == query {
-			e := t.entries[i]
-			return &e
+		if e := t.at(i); e.Query == query {
+			cp := *e
+			return &cp
 		}
 	}
 	return nil
 }
 
-// Len returns the number of entries.
+// Len returns the number of retained entries.
 func (t *ExplainTable) Len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -99,7 +122,8 @@ func (t *ExplainTable) String() string {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	var b strings.Builder
-	for _, e := range t.entries {
+	for i := range t.entries {
+		e := t.at(i)
 		fmt.Fprintf(&b, "[%s] %s -> %s est=%.2fms\n", e.At, e.Query, e.RouteKey, e.TotalEstMS)
 	}
 	return b.String()

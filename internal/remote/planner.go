@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/sqlparser"
+	"repro/internal/sqltypes"
 	"repro/internal/storage"
 )
 
@@ -183,13 +184,15 @@ func (s *Server) assemble(stmt *sqlparser.SelectStmt, choice planChoice) (exec.O
 	// Partition the pool into per-table conjuncts and cross-table conjuncts.
 	perTable := map[string][]sqlparser.Expr{}
 	var cross []sqlparser.Expr
+	schemas := make([]*sqltypes.Schema, len(tables))
+	for i, tr := range tables {
+		schemas[i] = s.Table(tr.Name).Schema().WithQualifier(tr.EffectiveName())
+	}
 	for _, c := range pool {
 		placed := false
-		for _, tr := range tables {
+		for i, tr := range tables {
 			name := tr.EffectiveName()
-			tab := s.Table(tr.Name)
-			sch := tab.Schema().WithQualifier(name)
-			if resolvesAll(c, sch) {
+			if sqlparser.Resolves(c, schemas[i]) {
 				perTable[name] = append(perTable[name], c)
 				placed = true
 				break
@@ -337,22 +340,9 @@ func dropTrue(list []sqlparser.Expr) []sqlparser.Expr {
 	return out
 }
 
-func resolvesAll(e sqlparser.Expr, schema interface {
-	ColumnIndex(table, name string) (int, error)
-}) bool {
-	for _, ref := range sqlparser.CollectColumnRefs(e, nil) {
-		if _, err := schema.ColumnIndex(ref.Table, ref.Name); err != nil {
-			return false
-		}
-	}
-	return true
-}
-
-func partitionResolvable(list []sqlparser.Expr, schema interface {
-	ColumnIndex(table, name string) (int, error)
-}) (resolvable, remaining []sqlparser.Expr) {
+func partitionResolvable(list []sqlparser.Expr, schema *sqltypes.Schema) (resolvable, remaining []sqlparser.Expr) {
 	for _, c := range list {
-		if resolvesAll(c, schema) {
+		if sqlparser.Resolves(c, schema) {
 			resolvable = append(resolvable, c)
 		} else {
 			remaining = append(remaining, c)

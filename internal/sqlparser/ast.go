@@ -27,6 +27,10 @@ func (l *Literal) String() string { return l.Val.String() }
 type ColumnRef struct {
 	Table string
 	Name  string
+	// schema and ord are set only on the copies Bind makes: Eval against
+	// exactly this schema reads row[ord] without a lookup.
+	schema *sqltypes.Schema
+	ord    int
 }
 
 func (*ColumnRef) exprNode() {}
@@ -383,36 +387,10 @@ func (s *SelectStmt) String() string {
 
 // CollectColumnRefs appends every column reference in e to out and returns it.
 func CollectColumnRefs(e Expr, out []*ColumnRef) []*ColumnRef {
-	switch x := e.(type) {
-	case *ColumnRef:
-		out = append(out, x)
-	case *BinaryExpr:
-		out = CollectColumnRefs(x.Left, out)
-		out = CollectColumnRefs(x.Right, out)
-	case *NotExpr:
-		out = CollectColumnRefs(x.Inner, out)
-	case *IsNullExpr:
-		out = CollectColumnRefs(x.Inner, out)
-	case *InExpr:
-		out = CollectColumnRefs(x.Needle, out)
-		for _, item := range x.List {
-			out = CollectColumnRefs(item, out)
-		}
-	case *BetweenExpr:
-		out = CollectColumnRefs(x.Subject, out)
-		out = CollectColumnRefs(x.Lo, out)
-		out = CollectColumnRefs(x.Hi, out)
-	case *LikeExpr:
-		out = CollectColumnRefs(x.Subject, out)
-	case *AggExpr:
-		if x.Arg != nil {
-			out = CollectColumnRefs(x.Arg, out)
-		}
-	case *FuncExpr:
-		for _, a := range x.Args {
-			out = CollectColumnRefs(a, out)
-		}
-	}
+	eachColumnRef(e, func(ref *ColumnRef) bool {
+		out = append(out, ref)
+		return true
+	})
 	return out
 }
 

@@ -16,6 +16,9 @@ func Eval(e Expr, row sqltypes.Row, schema *sqltypes.Schema) (sqltypes.Value, er
 	case *Literal:
 		return x.Val, nil
 	case *ColumnRef:
+		if x.schema != nil && x.schema == schema {
+			return row[x.ord], nil
+		}
 		i, err := schema.ColumnIndex(x.Table, x.Name)
 		if err != nil {
 			return sqltypes.Null, err

@@ -3,6 +3,7 @@ package sqltypes
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
 
 // Column describes one column of a schema.
@@ -40,25 +41,75 @@ func (s *Schema) Len() int { return len(s.Columns) }
 // ColumnIndex resolves a possibly-qualified column reference to an index.
 // It returns an error when the reference is unknown or ambiguous.
 func (s *Schema) ColumnIndex(table, name string) (int, error) {
+	i, ok := s.Lookup(table, name)
+	if ok {
+		return i, nil
+	}
+	if i >= 0 {
+		return -1, fmt.Errorf("sqltypes: ambiguous column reference %q", Column{Table: table, Name: name}.QualifiedName())
+	}
+	return -1, fmt.Errorf("sqltypes: unknown column %q", Column{Table: table, Name: name}.QualifiedName())
+}
+
+// Lookup resolves a possibly-qualified column reference without allocating.
+// Names and qualifiers compare case-insensitively, exactly as
+// strings.ToLower on both sides would. It returns (index, true) for a
+// unique match, (first match, false) when the reference is ambiguous and
+// (-1, false) when it is unknown.
+func (s *Schema) Lookup(table, name string) (int, bool) {
 	found := -1
-	lname := strings.ToLower(name)
-	ltable := strings.ToLower(table)
 	for i, c := range s.Columns {
-		if strings.ToLower(c.Name) != lname {
+		if !EqualFold(c.Name, name) {
 			continue
 		}
-		if table != "" && strings.ToLower(c.Table) != ltable {
+		if table != "" && !EqualFold(c.Table, table) {
 			continue
 		}
 		if found >= 0 {
-			return -1, fmt.Errorf("sqltypes: ambiguous column reference %q", Column{Table: table, Name: name}.QualifiedName())
+			return found, false
 		}
 		found = i
 	}
-	if found < 0 {
-		return -1, fmt.Errorf("sqltypes: unknown column %q", Column{Table: table, Name: name}.QualifiedName())
+	return found, found >= 0
+}
+
+// EqualFold reports whether two identifiers are equal ignoring case, exactly
+// as strings.ToLower(a) == strings.ToLower(b) but without allocating: ASCII
+// strings, which is every identifier the SQL lexer produces, compare byte by
+// byte with the ASCII case fold, and any non-ASCII byte takes the ToLower
+// path so that the two can never disagree.
+func EqualFold(a, b string) bool {
+	if len(a) != len(b) {
+		if isASCII(a) && isASCII(b) {
+			return false
+		}
+		return strings.ToLower(a) == strings.ToLower(b)
 	}
-	return found, nil
+	for i := 0; i < len(a); i++ {
+		ca, cb := a[i], b[i]
+		if ca|cb >= utf8.RuneSelf {
+			return strings.ToLower(a) == strings.ToLower(b)
+		}
+		if 'A' <= ca && ca <= 'Z' {
+			ca += 'a' - 'A'
+		}
+		if 'A' <= cb && cb <= 'Z' {
+			cb += 'a' - 'A'
+		}
+		if ca != cb {
+			return false
+		}
+	}
+	return true
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
 }
 
 // Concat returns a new schema that is s followed by other, as produced by a

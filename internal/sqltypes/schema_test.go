@@ -1,6 +1,8 @@
 package sqltypes
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -103,5 +105,81 @@ func TestColumnQualifiedName(t *testing.T) {
 	}
 	if (Column{Table: "t", Name: "x"}).QualifiedName() != "t.x" {
 		t.Fatal("qualified")
+	}
+}
+
+// referenceColumnIndex is ColumnIndex as it was written before Lookup: a
+// strings.ToLower comparison of every name and qualifier.
+func referenceColumnIndex(s *Schema, table, name string) (int, error) {
+	found := -1
+	lname := strings.ToLower(name)
+	ltable := strings.ToLower(table)
+	for i, c := range s.Columns {
+		if strings.ToLower(c.Name) != lname {
+			continue
+		}
+		if table != "" && strings.ToLower(c.Table) != ltable {
+			continue
+		}
+		if found >= 0 {
+			return -1, fmt.Errorf("sqltypes: ambiguous column reference %q", Column{Table: table, Name: name}.QualifiedName())
+		}
+		found = i
+	}
+	if found < 0 {
+		return -1, fmt.Errorf("sqltypes: unknown column %q", Column{Table: table, Name: name}.QualifiedName())
+	}
+	return found, nil
+}
+
+// TestLookupMatchesToLower checks that the allocation-free case fold agrees
+// with the strings.ToLower comparison on random identifiers: ASCII ones,
+// as the lexer produces, and ones with runes whose lower case changes byte
+// length (the Kelvin sign, dotted capital I) or that fold beyond ASCII.
+func TestLookupMatchesToLower(t *testing.T) {
+	alphabet := []string{"a", "A", "b", "B", "k", "K", "i", "I", "_", "1", "K", "İ", "é", "É", "ß", "Σ", "σ"}
+	rng := rand.New(rand.NewSource(1))
+	word := func() string {
+		var b strings.Builder
+		for n := rng.Intn(3); n >= 0; n-- {
+			b.WriteString(alphabet[rng.Intn(len(alphabet))])
+		}
+		return b.String()
+	}
+	for i := 0; i < 20000; i++ {
+		cols := make([]Column, 1+rng.Intn(4))
+		for j := range cols {
+			cols[j] = Column{Table: word(), Name: word()}
+		}
+		s := NewSchema(cols...)
+		table, name := word(), word()
+		if rng.Intn(3) == 0 {
+			table = ""
+		}
+		want, wantErr := referenceColumnIndex(s, table, name)
+		got, gotErr := s.ColumnIndex(table, name)
+		if got != want || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("ColumnIndex(%q, %q) over %v = (%d, %v), want (%d, %v)", table, name, cols, got, gotErr, want, wantErr)
+		}
+		idx, ok := s.Lookup(table, name)
+		if ok != (wantErr == nil) || (ok && idx != want) {
+			t.Fatalf("Lookup(%q, %q) over %v = (%d, %v), want index %d err %v", table, name, cols, idx, ok, want, wantErr)
+		}
+	}
+}
+
+func TestLookupDoesNotAllocate(t *testing.T) {
+	s := NewSchema(
+		Column{Table: "orders", Name: "o_id"},
+		Column{Table: "orders", Name: "O_Amount"},
+		Column{Table: "lineitem", Name: "l_orderkey"},
+	)
+	allocs := testing.AllocsPerRun(100, func() {
+		s.Lookup("LINEITEM", "L_ORDERKEY")
+		s.Lookup("", "o_amount")
+		s.Lookup("", "missing")
+	})
+	if allocs != 0 {
+		t.Fatalf("Lookup allocates %.1f times per call set", allocs)
 	}
 }

@@ -19,10 +19,14 @@ const PageSize = 4096
 
 // Table is an in-memory heap table with optional indexes.
 type Table struct {
-	mu      sync.RWMutex
-	name    string
-	schema  *sqltypes.Schema
-	rows    []sqltypes.Row
+	mu     sync.RWMutex
+	name   string
+	schema *sqltypes.Schema
+	rows   []sqltypes.Row
+	// bytes is the running sum of ByteSize over rows: Append adds each new
+	// row's size and UpdateAt the size change of the row it rewrites, so
+	// Pages costs O(1) instead of a pass over the heap.
+	bytes   int
 	indexes map[string]*Index
 	stats   *stats.TableStats // refreshed lazily (RUNSTATS-style)
 	dirty   bool
@@ -74,11 +78,7 @@ func (t *Table) pagesLocked() int {
 		}
 		return p
 	}
-	bytes := 0
-	for _, r := range t.rows {
-		bytes += r.ByteSize()
-	}
-	p := bytes / PageSize
+	p := t.bytes / PageSize
 	if p == 0 && len(t.rows) > 0 {
 		p = 1
 	}
@@ -96,6 +96,9 @@ func (t *Table) Append(rows ...sqltypes.Row) error {
 	}
 	base := len(t.rows)
 	t.rows = append(t.rows, rows...)
+	for _, r := range rows {
+		t.bytes += r.ByteSize()
+	}
 	for _, idx := range t.indexes {
 		for i, r := range rows {
 			idx.insert(r, base+i)
@@ -154,6 +157,7 @@ func (t *Table) UpdateAt(i, col int, v sqltypes.Value) error {
 	}
 	old := t.rows[i][col]
 	t.rows[i][col] = v
+	t.bytes += v.ByteSize() - old.ByteSize()
 	for _, idx := range t.indexes {
 		if idx.colIdx == col {
 			idx.remove(old, i)
@@ -175,7 +179,7 @@ func (t *Table) CreateIndex(name, column string, kind IndexKind) (*Index, error)
 		// Try any qualifier.
 		found := -1
 		for i, c := range t.schema.Columns {
-			if equalFold(c.Name, column) {
+			if sqltypes.EqualFold(c.Name, column) {
 				found = i
 				break
 			}
@@ -194,25 +198,6 @@ func (t *Table) CreateIndex(name, column string, kind IndexKind) (*Index, error)
 	}
 	t.indexes[name] = idx
 	return idx, nil
-}
-
-func equalFold(a, b string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := 0; i < len(a); i++ {
-		ca, cb := a[i], b[i]
-		if 'A' <= ca && ca <= 'Z' {
-			ca += 'a' - 'A'
-		}
-		if 'A' <= cb && cb <= 'Z' {
-			cb += 'a' - 'A'
-		}
-		if ca != cb {
-			return false
-		}
-	}
-	return true
 }
 
 // Index returns the named index or nil.
@@ -235,7 +220,7 @@ func (t *Table) IndexOnColumn(column string) *Index {
 	sort.Strings(names)
 	for _, n := range names {
 		idx := t.indexes[n]
-		if !equalFold(idx.column, column) {
+		if !sqltypes.EqualFold(idx.column, column) {
 			continue
 		}
 		if idx.kind == IndexSorted {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/simclock"
@@ -379,6 +380,12 @@ func TestTelemetryConcurrency(t *testing.T) {
 	const workers = 8
 	const iters = 200
 	var wg sync.WaitGroup
+	// firstDone holds the enable/disable toggler back until every worker
+	// has finished its first iteration with collection on, so each worker
+	// records at least one counter update however the goroutines schedule.
+	var firstDone sync.WaitGroup
+	firstDone.Add(workers)
+	var incs atomic.Int64 // Inc calls made through a non-nil Active()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -399,17 +406,25 @@ func TestTelemetryConcurrency(t *testing.T) {
 				root.End(3)
 				tel.Tracer().FinishTrace(tr, nil)
 
+				// A nil registry (collection off) must absorb every update.
 				reg := tel.Active()
+				if reg != nil {
+					incs.Add(1)
+				}
 				reg.Counter("ii.queries", "").Inc()
 				reg.Gauge("qcc.calibration_factor", srv).Set(float64(i))
 				reg.Histogram("mw.response_ms", srv, nil).Observe(float64(i))
 				tel.AppendFactor(simclock.Time(i), srv, 1.0)
+				if i == 0 {
+					firstDone.Done()
+				}
 			}
 		}(w)
 	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		firstDone.Wait()
 		for i := 0; i < iters; i++ {
 			tel.SetEnabled(i%2 == 0)
 			_ = tel.Tracer().Traces()
@@ -423,7 +438,10 @@ func TestTelemetryConcurrency(t *testing.T) {
 	if tel.Tracer().Len() > 32 {
 		t.Fatalf("trace ring exceeded capacity: %d", tel.Tracer().Len())
 	}
-	if tel.Metrics().CounterValue("ii.queries", "") == 0 {
-		t.Fatal("no counter updates recorded")
+	if incs.Load() < workers {
+		t.Fatalf("%d counter updates made, want at least one per worker (%d)", incs.Load(), workers)
+	}
+	if got := tel.Metrics().CounterValue("ii.queries", ""); got != incs.Load() {
+		t.Fatalf("counter = %d, want the %d Inc calls made through Active()", got, incs.Load())
 	}
 }
