@@ -54,10 +54,7 @@ func storeAndForward(tb testing.TB, fed *Federation, sql string) (*sqltypes.Rela
 	if err != nil {
 		tb.Fatalf("%s: store-and-forward: %v", sql, err)
 	}
-	rel := out.Result.Rel
-	if rel == nil {
-		rel = out.Result.Col.ToRelation()
-	}
+	rel := out.Result.Col.ToRelation()
 	merge := fed.iiNode.Observe(exec.Resources{CPUOps: float64(rel.Cardinality())})
 	return rel, out.ResponseTime + merge
 }

@@ -1,8 +1,8 @@
-// Vectorized-engine benchmarks: per-kernel microbenchmarks (row engine vs
-// columnar kernels over identical inputs), an end-to-end federated query
-// comparison, and an env-gated speedup smoke check. Results persist to
-// BENCH_vectorized.json so future changes can regress against both the
-// wall-clock win and the virtual-time identity.
+// Vectorized-engine benchmarks: per-kernel microbenchmarks (row reference
+// kernels vs columnar kernels over identical inputs), an end-to-end
+// federated query on the default path, and an env-gated speedup smoke
+// check. Results persist to BENCH_vectorized.json so future changes can
+// regress against both the wall-clock win and the virtual outcome.
 package fedqcc_test
 
 import (
@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	fedqcc "repro"
 	"repro/internal/exec"
 	"repro/internal/exec/colbatch"
 	"repro/internal/sqlparser"
@@ -137,8 +136,8 @@ func runKernel(op exec.Operator, vectorized bool) (int, error) {
 
 // measureKernel times op on one engine: best ns/op over three trials, each
 // trial doubling iterations until it spans at least 30ms of wall time. The
-// first (untimed) run warms caches — deliberately, since the columnar scan
-// cache is part of the steady state being measured.
+// first (untimed) run warms caches — deliberately, since the table's
+// columnar scan snapshot is part of the steady state being measured.
 func measureKernel(op exec.Operator, vectorized bool) (float64, error) {
 	if _, err := runKernel(op, vectorized); err != nil {
 		return 0, err
@@ -260,69 +259,53 @@ func BenchmarkVectorizedKernels(b *testing.B) {
 	b.Logf("wrote %s (kernels)", vectorizedBenchFile)
 }
 
-// vectorizedEndToEndResult is the federated-query comparison persisted to
-// BENCH_vectorized.json: identical virtual outcomes, differing wall cost.
+// vectorizedEndToEndResult is the federated-query measurement persisted to
+// BENCH_vectorized.json: the virtual outcome and the wall cost of the
+// default path.
 type vectorizedEndToEndResult struct {
-	Scenario         string  `json:"scenario"`
-	Query            string  `json:"query"`
-	Rows             int     `json:"rows"`
-	ResponseVirtMS   float64 `json:"response_virtual_ms"`
-	RowWallNsPerOp   int64   `json:"row_wall_ns_per_op"`
-	VecWallNsPerOp   int64   `json:"vectorized_wall_ns_per_op"`
-	WallSpeedupX     float64 `json:"wall_speedup_x"`
-	VirtualIdentical bool    `json:"virtual_identical"`
+	Scenario       string  `json:"scenario"`
+	Query          string  `json:"query"`
+	Rows           int     `json:"rows"`
+	ResponseVirtMS float64 `json:"response_virtual_ms"`
+	VecWallNsPerOp int64   `json:"vectorized_wall_ns_per_op"`
 }
 
-// BenchmarkVectorizedEndToEnd runs the streaming large-result scenario with
-// the columnar engine and compares against the row engine: virtual response
-// times must match exactly while wall cost drops.
+// The committed virtual outcome of BenchmarkVectorizedEndToEnd's query,
+// recorded when the row engine still ran it side by side and matched.
+const (
+	vectorizedEndToEndRows   = 9913
+	vectorizedEndToEndRespMS = 3941.794584775112
+)
+
+// BenchmarkVectorizedEndToEnd times the streaming large-result scenario on
+// the default path and requires the committed virtual outcome exactly.
 func BenchmarkVectorizedEndToEnd(b *testing.B) {
 	const query = "SELECT l.l_orderkey, l.l_price FROM lineitem AS l WHERE l.l_price > 10"
-	run := func(vectorized bool, iters int) (*fedqcc.QueryResult, int64, error) {
-		fed := slowLinkFederation(b)
-		fed.SetVectorized(vectorized)
-		res, err := fed.Query(query) // warm compile caches and the scan cache
-		if err != nil {
-			return nil, 0, err
-		}
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if res, err = fed.Query(query); err != nil {
-				return nil, 0, err
-			}
-		}
-		return res, time.Since(start).Nanoseconds() / int64(iters), nil
-	}
-
-	vecRes, vecNs, err := run(true, b.N)
+	fed := slowLinkFederation(b)
+	res, err := fed.Query(query) // warm the compile caches and the scan snapshot
 	if err != nil {
 		b.Fatal(err)
 	}
-	rowRes, rowNs, err := run(false, b.N)
-	if err != nil {
-		b.Fatal(err)
+	b.ResetTimer()
+	start := time.Now()
+	for i := 0; i < b.N; i++ {
+		if res, err = fed.Query(query); err != nil {
+			b.Fatal(err)
+		}
 	}
-	// The virtual-time model must not see the engine swap. (Both runs issued
-	// the same query sequence, so their clocks advanced identically.)
-	identical := rowRes.ResponseTime == vecRes.ResponseTime &&
-		rowRes.FirstRowTime == vecRes.FirstRowTime &&
-		len(rowRes.Rows.Rows) == len(vecRes.Rows.Rows)
-	if !identical {
-		b.Fatalf("virtual outcomes diverged: row %v/%v vs vectorized %v/%v",
-			rowRes.ResponseTime, rowRes.FirstRowTime, vecRes.ResponseTime, vecRes.FirstRowTime)
+	ns := time.Since(start).Nanoseconds() / int64(b.N)
+	if len(res.Rows.Rows) != vectorizedEndToEndRows || float64(res.ResponseTime) != vectorizedEndToEndRespMS {
+		b.Fatalf("virtual outcome %d rows in %v ms, want %d rows in %v ms",
+			len(res.Rows.Rows), float64(res.ResponseTime), vectorizedEndToEndRows, vectorizedEndToEndRespMS)
 	}
-	b.ReportMetric(float64(rowNs)/float64(vecNs), "wall_speedup_x")
-	b.ReportMetric(float64(vecRes.ResponseTime), "response_vms")
+	b.ReportMetric(float64(res.ResponseTime), "response_vms")
 
 	out := vectorizedEndToEndResult{
-		Scenario:         "1xS1 midrange, 20ms/50KBps link, scale 10, streamed",
-		Query:            query,
-		Rows:             len(vecRes.Rows.Rows),
-		ResponseVirtMS:   float64(vecRes.ResponseTime),
-		RowWallNsPerOp:   rowNs,
-		VecWallNsPerOp:   vecNs,
-		WallSpeedupX:     float64(rowNs) / float64(vecNs),
-		VirtualIdentical: identical,
+		Scenario:       "1xS1 midrange, 20ms/50KBps link, scale 10, streamed",
+		Query:          query,
+		Rows:           len(res.Rows.Rows),
+		ResponseVirtMS: float64(res.ResponseTime),
+		VecWallNsPerOp: ns,
 	}
 	if err := updateVectorizedBenchFile("end_to_end", out); err != nil {
 		b.Fatal(err)

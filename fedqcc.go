@@ -340,38 +340,19 @@ type QueryResult struct {
 	Tenant string
 }
 
-// SetVectorized switches the whole federation — every remote server's
-// executor and the integrator's merge — between the row-at-a-time and
-// columnar (vectorized) engines. Both engines produce bit-identical rows,
-// routes, resource charges, and virtual-time results; only real wall-clock
-// cost differs, so experiments can flip this freely without perturbing any
-// simulated measurement.
-func (f *Federation) SetVectorized(on bool) {
-	for _, srv := range f.servers {
-		srv.SetVectorized(on)
-	}
-	f.ii.SetVectorized(on)
-}
-
-// Vectorized reports whether the columnar engine is active at the integrator.
-func (f *Federation) Vectorized() bool { return f.ii.Vectorized() }
-
-// SetColumnarWire switches every remote server between shipping streamed
-// fragment results as boxed rows and as typed column batches with the
-// compact colbatch wire encoding (fixed-width packing, delta varints,
-// string dictionaries). Effective only while the federation is also
-// vectorized — the row engine has no columnar result to encode; with the
-// flag off the encoder never runs and the data path is byte-for-byte the
-// row protocol. Network byte accounting, the wrapper's wire charging, and
-// MW's RunLog all observe the encoded sizes when active.
+// SetColumnarWire switches every remote server between the row wire
+// protocol and the compact colbatch wire encoding (fixed-width packing,
+// delta varints, string dictionaries). The row protocol, the default and
+// the paper's baseline, charges each batch its row-model size; with the
+// flag off the encoder never runs. Network byte accounting, the wrapper's
+// wire charging, and MW's RunLog all observe the encoded sizes when active.
 func (f *Federation) SetColumnarWire(on bool) {
 	for _, srv := range f.servers {
 		srv.SetColumnarWire(on)
 	}
 }
 
-// ColumnarWire reports whether the columnar wire protocol is enabled (it
-// engages only on servers that are also vectorized).
+// ColumnarWire reports whether the columnar wire protocol is enabled.
 func (f *Federation) ColumnarWire() bool {
 	for _, srv := range f.servers {
 		return srv.ColumnarWire()

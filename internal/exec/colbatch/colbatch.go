@@ -407,54 +407,45 @@ func (b *Batch) colBytes(c *Column) int {
 	return total
 }
 
-// Accumulator concatenates batches column-wise — the integrator uses it to
-// assemble a fragment's columnar result from arriving stream batches
-// without a row round trip. Matching kinds append typed payload slices;
-// kind conflicts demote the column to the Mixed representation, so the
-// accumulated cells are always exactly the concatenation of the inputs'
-// cells.
-type Accumulator struct {
-	schema *sqltypes.Schema
-	cols   []*Column
-	n      int
-}
-
-// NewAccumulator starts an accumulator for the schema.
-func NewAccumulator(schema *sqltypes.Schema) *Accumulator {
+// Concat joins the batches' logical rows, in order, into one batch over
+// schema — the integrator uses it to assemble a logical fragment from its
+// arriving stream batches without a row round trip. A lone batch is
+// returned as is; otherwise each column's vectors are allocated once, for
+// the total row count. Matching kinds append typed payload slices; kind
+// conflicts demote the column to the Mixed representation, so the result's
+// cells are always exactly the concatenation of the inputs' cells.
+func Concat(schema *sqltypes.Schema, bs []*Batch) *Batch {
+	if len(bs) == 1 {
+		return bs[0]
+	}
+	total := 0
+	for _, b := range bs {
+		total += b.Len()
+	}
 	cols := make([]*Column, len(schema.Columns))
-	for i := range cols {
-		cols[i] = &Column{}
+	for c := range cols {
+		cols[c] = &Column{}
 	}
-	return &Accumulator{schema: schema, cols: cols}
-}
-
-// Len returns the number of rows accumulated so far.
-func (a *Accumulator) Len() int { return a.n }
-
-// Append adds b's logical rows.
-func (a *Accumulator) Append(b *Batch) {
-	for c := range a.cols {
-		a.cols[c] = appendCol(a.cols[c], a.n, b.Cols[c], b)
+	n := 0
+	for _, b := range bs {
+		for c := range cols {
+			cols[c] = appendCol(cols[c], n, total, b.Cols[c], b)
+		}
+		n += b.Len()
 	}
-	a.n += b.Len()
-}
-
-// Finish returns the accumulated batch. The accumulator must not be
-// appended to afterwards.
-func (a *Accumulator) Finish() *Batch {
-	return &Batch{Schema: a.schema, Cols: a.cols, n: a.n}
+	return &Batch{Schema: schema, Cols: cols, n: n}
 }
 
 // appendCol appends src's cells (through window w) onto dst, which holds
-// dstLen cells.
-func appendCol(dst *Column, dstLen int, src *Column, w *Batch) *Column {
+// dstLen cells; vectors it allocates get capacity size, the final length.
+func appendCol(dst *Column, dstLen, size int, src *Column, w *Batch) *Column {
 	n := w.Len()
 	if n == 0 {
 		return dst
 	}
 	boxAppend := func() *Column {
 		if dst.Mixed == nil {
-			mixed := make([]sqltypes.Value, dstLen, dstLen+n)
+			mixed := make([]sqltypes.Value, dstLen, size)
 			for i := 0; i < dstLen; i++ {
 				mixed[i] = dst.Value(i)
 			}
@@ -472,27 +463,27 @@ func appendCol(dst *Column, dstLen int, src *Column, w *Batch) *Column {
 	if dst.Kind == sqltypes.KindNull && src.Kind != sqltypes.KindNull {
 		k := &Column{Kind: src.Kind}
 		if dstLen > 0 {
-			k.Nulls = make([]bool, dstLen)
+			k.Nulls = make([]bool, dstLen, size)
 			for i := range k.Nulls {
 				k.Nulls[i] = true
 			}
 		}
 		switch src.Kind {
 		case sqltypes.KindInt:
-			k.Ints = make([]int64, dstLen)
+			k.Ints = make([]int64, dstLen, size)
 		case sqltypes.KindFloat:
-			k.Floats = make([]float64, dstLen)
+			k.Floats = make([]float64, dstLen, size)
 		case sqltypes.KindString:
-			k.Strs = make([]string, dstLen)
+			k.Strs = make([]string, dstLen, size)
 		case sqltypes.KindBool:
-			k.Bools = make([]bool, dstLen)
+			k.Bools = make([]bool, dstLen, size)
 		}
 		dst = k
 	}
 	switch {
 	case src.Kind == sqltypes.KindNull:
 		// Appending NULLs: extend payload with zeros and mark nulls.
-		dst.ensureNulls(dstLen)
+		dst.ensureNulls(dstLen, size)
 		for i := 0; i < n; i++ {
 			dst.Nulls = append(dst.Nulls, true)
 		}
@@ -503,7 +494,7 @@ func appendCol(dst *Column, dstLen int, src *Column, w *Batch) *Column {
 	}
 	// Same typed kind: bulk-append payloads and merge null bitmaps.
 	if src.Nulls != nil || dst.Nulls != nil {
-		dst.ensureNulls(dstLen)
+		dst.ensureNulls(dstLen, size)
 		for i := 0; i < n; i++ {
 			dst.Nulls = append(dst.Nulls, src.Nulls != nil && src.Nulls[w.Phys(i)])
 		}
@@ -537,10 +528,11 @@ func appendCol(dst *Column, dstLen int, src *Column, w *Batch) *Column {
 	return dst
 }
 
-// ensureNulls backfills a null bitmap of length n with false.
-func (c *Column) ensureNulls(n int) {
+// ensureNulls backfills a null bitmap of length n with false, with
+// capacity size.
+func (c *Column) ensureNulls(n, size int) {
 	if c.Nulls == nil {
-		c.Nulls = make([]bool, n)
+		c.Nulls = make([]bool, n, size)
 	}
 }
 

@@ -169,23 +169,21 @@ func TestBuilderMatchesFromRelation(t *testing.T) {
 func TestAccumulatorMatchesRowConcat(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	rel := randRelation(rng, 300)
-	acc := NewAccumulator(rel.Schema)
 	want := sqltypes.NewRelation(rel.Schema)
 	full := FromRelation(rel)
 	// Feed a mix of contiguous slices, selections, and empty windows.
-	acc.Append(full.Slice(0, 0))
-	for _, w := range []*Batch{
+	parts := []*Batch{
+		full.Slice(0, 0),
 		full.Slice(0, 100),
 		full.Slice(100, 150).Select([]int{40, 3, 3, 0}),
 		full.Slice(150, 300),
-	} {
-		acc.Append(w)
-		wrel := w.ToRelation()
-		want.Rows = append(want.Rows, wrel.Rows...)
 	}
-	got := acc.Finish()
-	if got.Len() != acc.Len() {
-		t.Fatalf("Finish len %d != acc len %d", got.Len(), acc.Len())
+	for _, w := range parts {
+		want.Rows = append(want.Rows, w.ToRelation().Rows...)
+	}
+	got := Concat(rel.Schema, parts)
+	if got.Len() != len(want.Rows) {
+		t.Fatalf("Concat len %d, want %d", got.Len(), len(want.Rows))
 	}
 	relationsEqual(t, want, got.ToRelation())
 	if got.WireSize() != want.ByteSize() {
@@ -203,11 +201,11 @@ func TestAccumulatorKindTransitions(t *testing.T) {
 		return FromRelation(rel)
 	}
 	// NULL-only prefix, then ints, then a kind conflict forcing Mixed.
-	acc := NewAccumulator(sch)
-	acc.Append(mk(sqltypes.Null, sqltypes.Null))
-	acc.Append(mk(sqltypes.NewInt(7), sqltypes.Null))
-	acc.Append(mk(sqltypes.NewString("s")))
-	got := acc.Finish().ToRelation()
+	got := Concat(sch, []*Batch{
+		mk(sqltypes.Null, sqltypes.Null),
+		mk(sqltypes.NewInt(7), sqltypes.Null),
+		mk(sqltypes.NewString("s")),
+	}).ToRelation()
 	want := []sqltypes.Value{sqltypes.Null, sqltypes.Null, sqltypes.NewInt(7), sqltypes.Null, sqltypes.NewString("s")}
 	if len(got.Rows) != len(want) {
 		t.Fatalf("got %d rows", len(got.Rows))
@@ -216,6 +214,33 @@ func TestAccumulatorKindTransitions(t *testing.T) {
 		if !valuesIdentical(got.Rows[i][0], w) {
 			t.Fatalf("row %d = %#v, want %#v", i, got.Rows[i][0], w)
 		}
+	}
+}
+
+// TestConcatAllocatesOncePerColumn: Concat sizes every vector for the total
+// row count up front, so its allocations do not grow with the number of
+// batches, and a lone batch passes through uncopied.
+func TestConcatAllocatesOncePerColumn(t *testing.T) {
+	rel := randRelation(rand.New(rand.NewSource(9)), 256)
+	full := FromRelation(rel)
+	split := func(k int) []*Batch {
+		var out []*Batch
+		step := full.Len() / k
+		for lo := 0; lo < full.Len(); lo += step {
+			out = append(out, full.Slice(lo, lo+step))
+		}
+		return out
+	}
+	few, many := split(2), split(64)
+	allocs := func(bs []*Batch) float64 {
+		return testing.AllocsPerRun(20, func() { Concat(rel.Schema, bs) })
+	}
+	if a2, a64 := allocs(few), allocs(many); a64 != a2 {
+		t.Errorf("Concat of 64 batches made %v allocations, of 2 batches %v: vectors regrow per batch", a64, a2)
+	}
+	relationsEqual(t, rel, Concat(rel.Schema, many).ToRelation())
+	if one := full.Slice(0, 10); Concat(rel.Schema, []*Batch{one}) != one {
+		t.Error("Concat copied a lone batch")
 	}
 }
 

@@ -103,15 +103,14 @@ func BlockingStage(op Operator) string {
 	return ""
 }
 
-// Values is a leaf operator over an already-materialized relation — the
+// Values is a leaf operator over already-materialized rows — the
 // integrator wraps remote fragment results in Values before merging them.
 type Values struct {
+	// Rel holds the rows in row form; nil for the integrator's leaves.
 	Rel *sqltypes.Relation
-	// Col, when non-nil, is the same rows in columnar form; ExecuteVectorized
+	// Col, when non-nil, is the rows in columnar form; ExecuteVectorized
 	// uses it directly so fragment results shipped as batches never round-trip
-	// through rows. Rel may be nil when the columnar wire protocol delivered
-	// the data (no rows were ever boxed); otherwise Col.ToRelation()
-	// row-equals Rel.
+	// through rows. When both are set, Col.ToRelation() row-equals Rel.
 	Col *colbatch.Batch
 	// Label names the source in EXPLAIN output.
 	Label string
@@ -127,8 +126,8 @@ func (v *Values) Schema() *sqltypes.Schema {
 
 // Execute implements Operator. It charges one CPU op per row (cursor
 // iteration) and no IO: the data is already local. A columnar-only Values
-// (wire-delivered) materializes rows here — the row engine is the fallback
-// path, and its charge stays one op per row either way.
+// materializes rows here — the row kernels are the fallback path, and the
+// charge stays one op per row either way.
 func (v *Values) Execute(ctx *Context) (*sqltypes.Relation, error) {
 	rel := v.Rel
 	if rel == nil {

@@ -2,24 +2,21 @@ package exec
 
 import (
 	"sort"
-	"sync"
 
 	"repro/internal/exec/colbatch"
 	"repro/internal/sqlparser"
 	"repro/internal/sqltypes"
-	"repro/internal/storage"
 )
 
-// ExecuteVectorized runs an operator tree over columnar batches. It is an
-// alternative engine over the same physical plans: every operator charges
-// exactly the resources its row-at-a-time Execute charges, and the rows of
-// the resulting batch are bit-identical to Execute's output (same Value
-// kinds and payloads, same order). Routing decisions, virtual-clock timings
-// and network draws therefore cannot observe which engine ran — only the
-// wall-clock cost of running the simulation changes.
+// ExecuteVectorized runs an operator tree over columnar batches. It is the
+// production executor, at every remote server and at the II merge. Every
+// operator charges exactly the resources its row-at-a-time Execute charges,
+// and the rows of the resulting batch are bit-identical to Execute's output
+// (same Value kinds and payloads, same order), so the row kernels serve as
+// the reference oracle the vectorized tests compare against.
 //
 // Operators without a vectorized kernel (index scans, nested-loop and merge
-// joins) execute their whole subtree through the row engine and decompose
+// joins) execute their whole subtree through the row kernels and decompose
 // the result. Kernels that hit an unsupported expression shape or an eval
 // error rerun that single node's row kernel over the already-produced
 // inputs; see vexpr.go for why that reproduces the row path's outcome
@@ -35,10 +32,10 @@ func ExecuteVectorized(op Operator, ctx *Context) (*colbatch.Batch, error) {
 		return colbatch.FromRelation(x.Rel), nil
 
 	case *SeqScan:
-		cols, n := scanColumns(x.Table)
+		t := x.Table.Columns()
 		ctx.Res.IOPages += float64(x.Table.Pages())
-		ctx.Res.CPUOps += float64(n)
-		return colbatch.New(x.Schema(), cols, n), nil
+		ctx.Res.CPUOps += float64(t.Len())
+		return colbatch.New(x.Schema(), t.Cols, t.Len()), nil
 
 	case *Filter:
 		in, err := ExecuteVectorized(x.Input, ctx)
@@ -157,39 +154,6 @@ func ExecuteVectorized(op Operator, ctx *Context) (*colbatch.Batch, error) {
 		}
 		return colbatch.FromRelation(rel), nil
 	}
-}
-
-// scanCacheEntry caches one table's columnar decomposition at a version.
-type scanCacheEntry struct {
-	version int64
-	cols    []*colbatch.Column
-	n       int
-}
-
-// scanCache memoizes SeqScan decompositions keyed by table identity; entries
-// are invalidated by the table's mutation counter, so the update-load driver
-// naturally evicts them. Columns are immutable once built and may be shared
-// by any number of concurrent executions.
-var scanCache sync.Map // *storage.Table -> *scanCacheEntry
-
-func scanColumns(t *storage.Table) ([]*colbatch.Column, int) {
-	v := t.Version()
-	if e, ok := scanCache.Load(t); ok {
-		if ent := e.(*scanCacheEntry); ent.version == v {
-			return ent.cols, ent.n
-		}
-	}
-	rel := sqltypes.NewRelation(t.Schema())
-	_ = t.Scan(func(row sqltypes.Row) error {
-		rel.Rows = append(rel.Rows, row)
-		return nil
-	})
-	b := colbatch.FromRelation(rel)
-	// Only cache when no mutation raced the scan; a stale miss just rebuilds.
-	if t.Version() == v {
-		scanCache.Store(t, &scanCacheEntry{version: v, cols: b.Cols, n: b.Len()})
-	}
-	return b.Cols, b.Len()
 }
 
 // projectBatch evaluates select items over a batch. When every item is a

@@ -130,7 +130,6 @@ const fragmentBatchRows = 256
 type II struct {
 	cfg           Config
 	retries       int
-	vectorized    atomic.Bool
 	shardPruning  atomic.Bool
 	shardPushdown atomic.Bool
 	opt           *optimizer.Optimizer
@@ -177,16 +176,6 @@ func New(cfg Config) *II {
 	}
 	return ii
 }
-
-// Vectorized reports whether the II-side merge uses the columnar engine.
-func (ii *II) Vectorized() bool { return ii.vectorized.Load() }
-
-// SetVectorized switches the II merge between the row-at-a-time and columnar
-// engines. The columnar merge only engages for queries whose fragments all
-// arrived with columnar payloads (i.e. the remote servers are vectorized
-// too); otherwise the row merge runs regardless of this flag. Either way the
-// merged rows, resource charges, and span tree are bit-identical.
-func (ii *II) SetVectorized(on bool) { ii.vectorized.Store(on) }
 
 // ShardPruning reports whether predicates on a shard key prune the shard
 // fan-out.
@@ -612,14 +601,9 @@ func (e *FragmentError) Unwrap() error { return e.Err }
 // the merge always sees fragments in plan order regardless of completion
 // order.
 type fragOutcome struct {
-	// rel holds the fragment rows; nil when the columnar wire protocol
-	// carried the fragment (then col is authoritative and no rows were
-	// boxed anywhere on the path).
-	rel *sqltypes.Relation
-	// col is the same rows in columnar form when the remote executed
-	// vectorized AND every stream batch carried a columnar payload; nil
-	// otherwise. col.ToRelation() row-equals rel when both are set.
-	col      *colbatch.Batch
+	// batches are the fragment's stream batches in arrival order.
+	batches  []*colbatch.Batch
+	schema   *sqltypes.Schema
 	respTime simclock.Time
 	firstRow simclock.Time
 	serverID string
@@ -631,9 +615,9 @@ type fragOutcome struct {
 // shipMode names how a fragment's data crossed the wire, for spans and the
 // decision log:
 //
-//	"row-ship"     boxed rows of the full (or whole-row baseline) result
+//	"row-ship"     the full (or whole-row baseline) result, row protocol
 //	"col-ship"     typed column batches of the same rows (columnar wire)
-//	"pushdown"     partial-aggregate states as boxed rows
+//	"pushdown"     partial-aggregate states, row protocol
 //	"pushdown-col" partial-aggregate states as typed column batches
 func shipMode(gp *optimizer.GlobalPlan, f optimizer.FragmentChoice, wire bool) string {
 	pushdown := f.Spec.Shard != nil && gp.Decomp.Sharded != nil && gp.Decomp.Sharded.Partial != nil
@@ -650,20 +634,14 @@ func shipMode(gp *optimizer.GlobalPlan, f optimizer.FragmentChoice, wire bool) s
 }
 
 // dispatchFragment streams one fragment through MW in batches of
-// fragmentBatchRows, accumulating the rows at the II as the batches arrive.
+// fragmentBatchRows, keeping the batches as they arrive; the merge
+// concatenates them.
 func (ii *II) dispatchFragment(ctx context.Context, f optimizer.FragmentChoice) (fragOutcome, error) {
 	st, err := ii.cfg.MW.OpenFragmentStream(ctx, f.ServerID, f.Spec.Stmt.String(), f.Plan, f.RawEst, fragmentBatchRows)
 	if err != nil {
 		return fragOutcome{}, err
 	}
-	rel := sqltypes.NewRelation(st.Schema())
-	// Columnar batches reassemble without a row round trip; one row-only
-	// batch (non-vectorized remote) drops the columnar form for the whole
-	// fragment, since a partial column set would be useless to the merge.
-	// Under the columnar wire protocol batches carry no row form at all —
-	// the fragment stays columnar end to end.
-	acc := colbatch.NewAccumulator(st.Schema())
-	wire := false
+	var batches []*colbatch.Batch
 	for {
 		b, err := st.Next(ctx)
 		if err != nil {
@@ -672,40 +650,19 @@ func (ii *II) dispatchFragment(ctx context.Context, f optimizer.FragmentChoice) 
 		if b == nil {
 			break
 		}
-		if b.Rel != nil {
-			rel.Rows = append(rel.Rows, b.Rel.Rows...)
-		} else {
-			wire = true
-		}
-		if acc != nil {
-			if b.Col == nil {
-				acc = nil
-			} else {
-				acc.Append(b.Col)
-			}
-		}
+		batches = append(batches, b.Col)
 	}
 	out := st.Outcome()
-	var col *colbatch.Batch
-	if acc != nil {
-		col = acc.Finish()
-	}
-	if wire && col == nil {
-		// Cannot normally happen: wire batches always carry columns. Keep
-		// the (empty) row form rather than returning a dataless fragment.
-		wire = false
-	}
-	if wire {
-		rel = nil
-	}
 	return fragOutcome{
-		rel:      rel,
-		col:      col,
+		batches:  batches,
+		schema:   st.Schema(),
 		respTime: out.ResponseTime,
 		firstRow: out.FirstRowTime,
 		serverID: f.ServerID,
 		fragID:   f.Spec.ID,
-		wire:     wire,
+		// An encoded batch carries header bytes even when empty, so any
+		// fragment shipped over the columnar wire has WireBytes > 0.
+		wire: out.WireBytes > 0,
 	}, nil
 }
 
@@ -813,12 +770,8 @@ func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*Qu
 
 	fragTimes := make(map[string]simclock.Time, len(outcomes))
 	executed := make(map[string]string, len(outcomes))
-	fragRels := make([]*sqltypes.Relation, len(outcomes))
-	fragCols := make([]*colbatch.Batch, len(outcomes))
 	var remotePhase, firstPhase simclock.Time
-	for i, o := range outcomes {
-		fragRels[i] = o.rel
-		fragCols[i] = o.col
+	for _, o := range outcomes {
 		fragTimes[o.fragID] = o.respTime
 		executed[o.fragID] = o.serverID
 		if o.respTime > remotePhase {
@@ -829,7 +782,7 @@ func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*Qu
 		}
 	}
 
-	rel, mergeTime, blocking, err := ii.merge(gp, fragRels, fragCols)
+	rel, mergeTime, blocking, err := ii.merge(gp, outcomes)
 	if err != nil {
 		return nil, err
 	}
@@ -859,78 +812,47 @@ func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*Qu
 
 // merge combines fragment results at the II node in one materialized pass.
 // Every fragment has been drained before the merge runs, so the merge plan
-// executes once over Values leaves holding the arrived rows (or batches). It
-// returns the merged rows, the merge's virtual time and the plan's first
-// pipeline-breaking stage (exec.BlockingStage) for the merge span.
-func (ii *II) merge(gp *optimizer.GlobalPlan, fragRels []*sqltypes.Relation, fragCols []*colbatch.Batch) (*sqltypes.Relation, simclock.Time, string, error) {
-	// The columnar merge engages only when the flag is on AND every fragment
-	// arrived with a columnar payload — a row-engine remote anywhere in the
-	// query demotes the whole merge to the row path.
-	vec := ii.vectorized.Load()
-	for _, c := range fragCols {
-		if c == nil {
-			vec = false
-			break
-		}
-	}
-	if vec {
-		tel := ii.cfg.Telemetry
-		tel.Active().Counter("exec.vectorized", "ii").Inc()
-	}
-	if !vec {
-		// Correctness fallback: wire-delivered fragments have no row form.
-		// A row merge (II not vectorized, or a row-engine fragment mixed in)
-		// materializes them here; a columnar merge never boxes them at all.
-		for i := range fragRels {
-			if fragRels[i] == nil && fragCols[i] != nil {
-				fragRels[i] = fragCols[i].ToRelation()
-			}
-		}
-	}
+// executes once, vectorized, over Values leaves holding the arrived batches;
+// rows are boxed once, from its output. It returns the merged rows, the
+// merge's virtual time and the plan's first pipeline-breaking stage
+// (exec.BlockingStage) for the merge span.
+func (ii *II) merge(gp *optimizer.GlobalPlan, outcomes []fragOutcome) (*sqltypes.Relation, simclock.Time, string, error) {
 	ctx := &exec.Context{}
 	if gp.Decomp.SingleFragment {
 		// The remote ran the whole statement: the rows pass through,
 		// charged the one op per row a Values leaf charges.
-		rel := fragRels[0]
-		if rel == nil {
-			rel = fragCols[0].ToRelation()
+		o := outcomes[0]
+		n := 0
+		for _, b := range o.batches {
+			n += b.Len()
+		}
+		rel := &sqltypes.Relation{Schema: o.schema, Rows: make([]sqltypes.Row, 0, n)}
+		for _, b := range o.batches {
+			for i := 0; i < b.Len(); i++ {
+				rel.Rows = append(rel.Rows, b.Row(i))
+			}
 		}
 		ctx.Res.CPUOps = float64(rel.Cardinality())
 		return rel, ii.cfg.Node.Observe(ctx.Res), "", nil
 	}
-	top, err := mergePlan(gp, fragRels, fragCols, vec)
+	top, err := mergePlan(gp, outcomes)
 	if err != nil {
 		return nil, 0, "", fmt.Errorf("integrator: building merge plan: %w", err)
 	}
-	var rel *sqltypes.Relation
-	if vec {
-		out, err := exec.ExecuteVectorized(top, ctx)
-		if err != nil {
-			return nil, 0, "", fmt.Errorf("integrator: merging: %w", err)
-		}
-		rel = out.ToRelation()
-	} else if rel, err = top.Execute(ctx); err != nil {
+	out, err := exec.ExecuteVectorized(top, ctx)
+	if err != nil {
 		return nil, 0, "", fmt.Errorf("integrator: merging: %w", err)
 	}
-	return rel, ii.cfg.Node.Observe(ctx.Res), exec.BlockingStage(top), nil
+	return out.ToRelation(), ii.cfg.Node.Observe(ctx.Res), exec.BlockingStage(top), nil
 }
 
-// mergePlan builds the II-side operator tree over the fragment results. When
-// the merge is columnar, each Values leaf carries its fragment's batch so the
-// vectorized executor starts from the arrived columns directly.
-func mergePlan(gp *optimizer.GlobalPlan, fragRels []*sqltypes.Relation, fragCols []*colbatch.Batch, vec bool) (exec.Operator, error) {
+// mergePlan builds the II-side operator tree over the fragment results, one
+// Values leaf per logical fragment.
+func mergePlan(gp *optimizer.GlobalPlan, outcomes []fragOutcome) (exec.Operator, error) {
 	// Scatter-gather: per-shard fragments sharing Shard.Of concatenate into
-	// one logical fragment before merging. Unsharded plans pass through with
-	// the original per-fragment slices untouched, so their merge is
-	// bit-identical to the pre-sharding engine.
-	ids, rels, cols := logicalFragments(gp, fragRels, fragCols, vec)
-	leaf := func(i int) *exec.Values {
-		v := &exec.Values{Rel: rels[i], Label: ids[i]}
-		if vec {
-			v.Col = cols[i]
-		}
-		return v
-	}
+	// one logical fragment before merging.
+	ids, cols := logicalFragments(gp, outcomes)
+	leaf := func(i int) *exec.Values { return &exec.Values{Col: cols[i], Label: ids[i]} }
 
 	if sh := gp.Decomp.Sharded; sh != nil {
 		// Single sharded table: the union of shard results feeds the
@@ -946,7 +868,7 @@ func mergePlan(gp *optimizer.GlobalPlan, fragRels []*sqltypes.Relation, fragCols
 	// Join fragments left-to-right on the cross-source conjuncts.
 	cross := append([]sqlparser.Expr(nil), gp.Decomp.Cross...)
 	var current exec.Operator = leaf(0)
-	for i := 1; i < len(rels); i++ {
+	for i := 1; i < len(cols); i++ {
 		right := leaf(i)
 		lk, rk, rest, ok := exec.ExtractEquiJoinKeys(cross, current.Schema(), right.Schema())
 		if ok {
@@ -987,28 +909,13 @@ func mergePlan(gp *optimizer.GlobalPlan, fragRels []*sqltypes.Relation, fragCols
 	return exec.BuildTop(gp.Stmt, current)
 }
 
-// logicalFragments folds per-shard fragment results into logical fragments:
-// outcomes sharing Spec.Shard.Of concatenate (rows and, when the merge is
-// columnar, batches) in plan order. Plans without shard fragments return
-// the input slices unchanged — zero copies, zero extra charges.
-func logicalFragments(gp *optimizer.GlobalPlan, fragRels []*sqltypes.Relation, fragCols []*colbatch.Batch, vec bool) ([]string, []*sqltypes.Relation, []*colbatch.Batch) {
-	sharded := false
-	for _, f := range gp.Fragments {
-		if f.Spec.Shard != nil {
-			sharded = true
-			break
-		}
-	}
-	if !sharded {
-		ids := make([]string, len(gp.Fragments))
-		for i, f := range gp.Fragments {
-			ids[i] = f.Spec.ID
-		}
-		return ids, fragRels, fragCols
-	}
+// logicalFragments folds fragment results into logical fragments: outcomes
+// sharing Spec.Shard.Of concatenate in plan order, others stand alone. Each
+// logical fragment's batches are gathered and concatenated once.
+func logicalFragments(gp *optimizer.GlobalPlan, outcomes []fragOutcome) ([]string, []*colbatch.Batch) {
 	var ids []string
-	var rels []*sqltypes.Relation
-	var cols []*colbatch.Batch
+	var parts [][]*colbatch.Batch
+	var schemas []*sqltypes.Schema
 	pos := map[string]int{}
 	for i, f := range gp.Fragments {
 		key := f.Spec.ID
@@ -1020,34 +927,14 @@ func logicalFragments(gp *optimizer.GlobalPlan, fragRels []*sqltypes.Relation, f
 			j = len(ids)
 			pos[key] = j
 			ids = append(ids, key)
-			// Wire-delivered fragments have no row form; the folded logical
-			// fragment then stays columnar-only (nil rel) and the merge's
-			// Values leaves read the batch directly.
-			if fragRels[i] == nil {
-				rels = append(rels, nil)
-			} else {
-				rel := sqltypes.NewRelation(fragRels[i].Schema)
-				rel.Rows = append(rel.Rows, fragRels[i].Rows...)
-				rels = append(rels, rel)
-			}
-			if vec {
-				cols = append(cols, fragCols[i])
-			} else {
-				cols = append(cols, nil)
-			}
-			continue
+			parts = append(parts, nil)
+			schemas = append(schemas, outcomes[i].schema)
 		}
-		if fragRels[i] == nil {
-			rels[j] = nil
-		} else if rels[j] != nil {
-			rels[j].Rows = append(rels[j].Rows, fragRels[i].Rows...)
-		}
-		if vec {
-			acc := colbatch.NewAccumulator(cols[j].Schema)
-			acc.Append(cols[j])
-			acc.Append(fragCols[i])
-			cols[j] = acc.Finish()
-		}
+		parts[j] = append(parts[j], outcomes[i].batches...)
 	}
-	return ids, rels, cols
+	cols := make([]*colbatch.Batch, len(ids))
+	for j, bs := range parts {
+		cols[j] = colbatch.Concat(schemas[j], bs)
+	}
+	return ids, cols
 }

@@ -308,10 +308,7 @@ func resultBytes(res *remote.Result, wireBytes int) int {
 	if wireBytes > 0 {
 		return wireBytes
 	}
-	if res.Rel != nil {
-		return res.Rel.ByteSize()
-	}
-	return 0
+	return res.Col.WireSize()
 }
 
 // ExecuteFragment forwards an execution descriptor, records the observed

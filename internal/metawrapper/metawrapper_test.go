@@ -102,7 +102,7 @@ func TestExecuteFragmentRecordsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Result.Rel.Cardinality() == 0 {
+	if out.Result.RowCount() == 0 {
 		t.Fatal("no rows")
 	}
 	if len(obs.runs) != 1 {

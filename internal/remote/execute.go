@@ -8,19 +8,12 @@ import (
 	"repro/internal/exec"
 	"repro/internal/exec/colbatch"
 	"repro/internal/simclock"
-	"repro/internal/sqlparser"
 	"repro/internal/sqltypes"
-	"repro/internal/telemetry"
 )
 
 // Result is the outcome of executing a plan at the server.
 type Result struct {
-	// Rel is the materialized fragment result. Nil when the columnar wire
-	// protocol carried the result: then Col is authoritative and no row form
-	// was ever boxed on the server.
-	Rel *sqltypes.Relation
-	// Col is the columnar form of the same result when the server executed
-	// vectorized; nil on the row engine. Col.ToRelation() row-equals Rel.
+	// Col is the materialized fragment result.
 	Col *colbatch.Batch
 	// ServiceTime is the simulated time the server spent, including load
 	// effects and queueing — the "observed cost" QCC learns from.
@@ -29,36 +22,17 @@ type Result struct {
 	Resources exec.Resources
 }
 
-// RowCount returns the result cardinality regardless of which form (rows or
-// columns) carries it.
-func (r *Result) RowCount() int {
-	if r.Rel != nil {
-		return len(r.Rel.Rows)
-	}
-	if r.Col != nil {
-		return r.Col.Len()
-	}
-	return 0
-}
+// RowCount returns the result cardinality.
+func (r *Result) RowCount() int { return r.Col.Len() }
 
-// Schema returns the result schema from whichever form carries it.
-func (r *Result) Schema() *sqltypes.Schema {
-	if r.Rel != nil {
-		return r.Rel.Schema
-	}
-	if r.Col != nil {
-		return r.Col.Schema
-	}
-	return nil
-}
+// Schema returns the result schema.
+func (r *Result) Schema() *sqltypes.Schema { return r.Col.Schema }
 
-// runPlan is the shared execution body behind ExecutePlan and OpenPlan: it
-// fails when the context is cancelled, when the server is down, when failure
-// injection is armed, or when the plan is bound to a different server, then
-// executes the plan and observes its full service time under current load.
-// wire selects the columnar wire protocol: the result then stays columnar
-// (Rel nil) and is never boxed into rows on the server.
-func (s *Server) runPlan(ctx context.Context, p *Plan, wire bool) (*Result, error) {
+// runPlan is the execution body behind OpenPlan: it fails when the context
+// is cancelled, when the server is down, when failure injection is armed,
+// or when the plan is bound to a different server, then executes the plan
+// and observes its full service time under current load.
+func (s *Server) runPlan(ctx context.Context, p *Plan) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -78,64 +52,19 @@ func (s *Server) runPlan(ctx context.Context, p *Plan, wire bool) (*Result, erro
 	s.mu.Unlock()
 
 	ectx := &exec.Context{}
-	if s.vectorized.Load() {
-		col, err := exec.ExecuteVectorized(p.Root, ectx)
-		if err != nil {
-			return nil, fmt.Errorf("remote: executing on %s: %w", s.id, err)
-		}
-		// WireSize equals the materialized relation's ByteSize, so the load
-		// model and every downstream network draw observe identical bytes.
-		ectx.Res.OutBytes = col.WireSize()
-		tel := s.telemetry()
-		tel.Active().Counter("exec.vectorized", s.id).Inc()
-		tel.Active().Histogram("exec.batch_rows", s.id, nil).Observe(float64(col.Len()))
-		res := &Result{
-			Col:         col,
-			ServiceTime: s.ObserveAccess(ectx.Res, p.Tables),
-			Resources:   ectx.Res,
-		}
-		if !wire {
-			res.Rel = col.ToRelation()
-		}
-		return res, nil
-	}
-	rel, err := p.Root.Execute(ectx)
+	col, err := exec.ExecuteVectorized(p.Root, ectx)
 	if err != nil {
 		return nil, fmt.Errorf("remote: executing on %s: %w", s.id, err)
 	}
-	ectx.Res.OutBytes = rel.ByteSize()
+	// WireSize equals the row-model ByteSize of the result, the size the
+	// load model and the row wire protocol charge.
+	ectx.Res.OutBytes = col.WireSize()
+	s.telemetry().Active().Histogram("exec.batch_rows", s.id, nil).Observe(float64(col.Len()))
 	return &Result{
-		Rel:         rel,
+		Col:         col,
 		ServiceTime: s.ObserveAccess(ectx.Res, p.Tables),
 		Resources:   ectx.Res,
 	}, nil
-}
-
-// ExecutePlan runs a previously-explained plan monolithically, emitting the
-// remote.exec span itself. The streaming path (OpenPlan) leaves span
-// emission to the wrapper, which interleaves it with batch transfers.
-func (s *Server) ExecutePlan(ctx context.Context, p *Plan) (*Result, error) {
-	res, err := s.runPlan(ctx, p, false)
-	if err != nil {
-		return nil, err
-	}
-	telemetry.SpanFrom(ctx).Emit("remote.exec", telemetry.LayerRemote, s.id, res.ServiceTime).
-		SetAttr("plan", p.Signature)
-	return res, nil
-}
-
-// ExecuteSQL explains and executes the cheapest plan — the path used by
-// availability daemons and ad-hoc probes.
-func (s *Server) ExecuteSQL(ctx context.Context, sql string) (*Result, error) {
-	stmt, err := sqlparser.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	plans, err := s.Explain(stmt)
-	if err != nil {
-		return nil, err
-	}
-	return s.ExecutePlan(ctx, plans[0])
 }
 
 // Probe performs the availability daemon's lightweight health check. It

@@ -113,6 +113,15 @@ func TestExplainDownServerFails(t *testing.T) {
 	}
 }
 
+// openResult executes p as one batch and returns the materialized result.
+func openResult(s *Server, p *Plan) (*Result, error) {
+	cur, err := s.OpenPlan(context.Background(), p, 0)
+	if err != nil {
+		return nil, err
+	}
+	return cur.Result(), nil
+}
+
 func TestExecutePlanMatchesDirectExecution(t *testing.T) {
 	s := newTestServer(t, ProfileS1("S1"), 100)
 	stmt := sqlparser.MustParse("SELECT COUNT(*) FROM orders AS o WHERE o.o_amount > 5000")
@@ -120,12 +129,12 @@ func TestExecutePlanMatchesDirectExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.ExecutePlan(context.Background(), plans[0])
+	res, err := openResult(s, plans[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rel.Cardinality() != 1 {
-		t.Fatalf("agg rows: %d", res.Rel.Cardinality())
+	if res.RowCount() != 1 {
+		t.Fatalf("agg rows: %d", res.RowCount())
 	}
 	if res.ServiceTime <= 0 {
 		t.Fatalf("service time: %v", res.ServiceTime)
@@ -140,8 +149,8 @@ func TestExecutePlanMatchesDirectExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want.Rows[0][0].Int() != res.Rel.Rows[0][0].Int() {
-		t.Fatalf("plan result %v != direct %v", res.Rel.Rows[0], want.Rows[0])
+	if want.Rows[0][0].Int() != res.Col.Value(0, 0).Int() {
+		t.Fatalf("plan result %v != direct %v", res.Col.Row(0), want.Rows[0])
 	}
 }
 
@@ -153,7 +162,7 @@ func TestExecutePlanWrongServerRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s2.ExecutePlan(context.Background(), plans[0]); err == nil {
+	if _, err := openResult(s2, plans[0]); err == nil {
 		t.Fatal("cross-server execution must fail")
 	}
 }
@@ -163,12 +172,12 @@ func TestFailureInjection(t *testing.T) {
 	s.InjectFailures(1)
 	stmt := sqlparser.MustParse("SELECT * FROM parts LIMIT 1")
 	plans, _ := s.Explain(stmt)
-	_, err := s.ExecutePlan(context.Background(), plans[0])
+	_, err := openResult(s, plans[0])
 	var fail *ErrServerFailure
 	if !errors.As(err, &fail) {
 		t.Fatalf("want failure, got %v", err)
 	}
-	if _, err := s.ExecutePlan(context.Background(), plans[0]); err != nil {
+	if _, err := openResult(s, plans[0]); err != nil {
 		t.Fatalf("second execution should succeed: %v", err)
 	}
 	if s.Executed() != 1 {
@@ -233,15 +242,16 @@ func TestProbe(t *testing.T) {
 
 func TestExecuteSQLRoundTrip(t *testing.T) {
 	s := newTestServer(t, ProfileS2("S2"), 100)
-	res, err := s.ExecuteSQL(context.Background(), "SELECT COUNT(*) FROM parts AS p")
+	plans, err := s.Explain(sqlparser.MustParse("SELECT COUNT(*) FROM parts AS p"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rel.Rows[0][0].Int() != int64(s.Table("parts").RowCount()) {
-		t.Fatalf("count: %v", res.Rel.Rows[0])
+	res, err := openResult(s, plans[0])
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := s.ExecuteSQL(context.Background(), "NOT SQL"); err == nil {
-		t.Fatal("bad sql must fail")
+	if res.Col.Value(0, 0).Int() != int64(s.Table("parts").RowCount()) {
+		t.Fatalf("count: %v", res.Col.Row(0))
 	}
 }
 
@@ -289,21 +299,21 @@ func TestExplainJoinQueryEnumeratesAlgorithms(t *testing.T) {
 	if len(plans) < 2 {
 		t.Fatalf("join query should have >=2 candidate plans, got %d", len(plans))
 	}
-	res, err := s.ExecutePlan(context.Background(), plans[0])
+	res, err := openResult(s, plans[0])
 	if err != nil {
 		t.Fatalf("executing best plan:\n%s\n%v", plans[0].Explain(), err)
 	}
-	if res.Rel.Cardinality() != 1 {
-		t.Fatalf("agg result: %v", res.Rel)
+	if res.RowCount() != 1 {
+		t.Fatalf("agg result: %v", res.Col.ToRelation())
 	}
 	// Both plans must produce identical answers.
-	res2, err := s.ExecutePlan(context.Background(), plans[1])
+	res2, err := openResult(s, plans[1])
 	if err != nil {
 		t.Fatalf("executing alternative plan:\n%s\n%v", plans[1].Explain(), err)
 	}
-	a, b := res.Rel.Rows[0][0].Float(), res2.Rel.Rows[0][0].Float()
+	a, b := res.Col.Value(0, 0).Float(), res2.Col.Value(0, 0).Float()
 	if diff := a - b; diff > 1e-6 || diff < -1e-6 {
-		t.Fatalf("plan answers differ: %v vs %v", res.Rel.Rows[0], res2.Rel.Rows[0])
+		t.Fatalf("plan answers differ: %v vs %v", res.Col.Row(0), res2.Col.Row(0))
 	}
 }
 
@@ -317,7 +327,7 @@ func TestThreeWayJoinPlansAndExecutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ExecutePlan(context.Background(), plans[0]); err != nil {
+	if _, err := openResult(s, plans[0]); err != nil {
 		t.Fatalf("three-way join failed:\n%s\n%v", plans[0].Explain(), err)
 	}
 }
@@ -341,7 +351,7 @@ func TestPlanCacheHitsAndInvalidation(t *testing.T) {
 		t.Fatalf("second explain should hit: hits=%d", hits)
 	}
 	// Cached plans remain executable.
-	if _, err := s.ExecutePlan(context.Background(), p1[0]); err != nil {
+	if _, err := openResult(s, p1[0]); err != nil {
 		t.Fatal(err)
 	}
 	// Mutating the table invalidates the entry.

@@ -159,16 +159,10 @@ type Server struct {
 	// tel is the observability subsystem (nil/disabled is a no-op).
 	tel *telemetry.Telemetry
 
-	// vectorized selects the columnar execution engine for this server's
-	// fragments. Either engine produces bit-identical results and charges
-	// (see exec.ExecuteVectorized); the toggle only changes wall-clock cost.
-	vectorized atomic.Bool
-
-	// wireColumnar ships streamed fragment results as typed column batches
-	// with the compact colbatch wire encoding instead of boxed rows. It only
-	// takes effect when vectorized is also on (the row engine has no columnar
-	// result to encode); when off, no encoder runs and the data path is
-	// byte-for-byte the PR 8 engine.
+	// wireColumnar ships streamed fragment results with the compact colbatch
+	// wire encoding and charges the encoded bytes. Off (the default), no
+	// encoder runs and each batch is charged its row-model size, the row
+	// wire protocol of the paper's baseline.
 	wireColumnar atomic.Bool
 
 	// induced-load state: recent service-time samples within the window.
@@ -221,20 +215,12 @@ func (s *Server) telemetry() *telemetry.Telemetry {
 	return s.tel
 }
 
-// SetVectorized switches this server's executor between the row-at-a-time
-// and columnar engines.
-func (s *Server) SetVectorized(on bool) { s.vectorized.Store(on) }
-
-// Vectorized reports whether the columnar engine is active.
-func (s *Server) Vectorized() bool { return s.vectorized.Load() }
-
-// SetColumnarWire switches streamed fragment results between boxed rows and
-// the typed columnar wire encoding. Effective only while the server is also
-// vectorized; the flag is remembered either way.
+// SetColumnarWire switches streamed fragment results between the row wire
+// protocol (charged at the row-model size) and the typed columnar wire
+// encoding (charged at the encoded size).
 func (s *Server) SetColumnarWire(on bool) { s.wireColumnar.Store(on) }
 
-// ColumnarWire reports whether the columnar wire protocol is enabled (it
-// still requires Vectorized() to carry batches).
+// ColumnarWire reports whether the columnar wire protocol is enabled.
 func (s *Server) ColumnarWire() bool { return s.wireColumnar.Load() }
 
 // ID returns the server identifier.

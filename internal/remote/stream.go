@@ -6,17 +6,11 @@ import (
 	"repro/internal/exec"
 	"repro/internal/exec/colbatch"
 	"repro/internal/simclock"
-	"repro/internal/sqltypes"
 )
 
 // Batch is one streamed unit of a fragment result.
 type Batch struct {
-	// Rel holds this batch's rows (a slice view into the full result). Nil
-	// when the columnar wire protocol carried the batch: then Col + Enc are
-	// authoritative and no rows were boxed.
-	Rel *sqltypes.Relation
-	// Col is the same rows as a columnar view when the server executed
-	// vectorized; nil on the row engine.
+	// Col holds this batch's rows, a view into the full result.
 	Col *colbatch.Batch
 	// Enc is the batch in wire form, present only under the columnar wire
 	// protocol. Its byte length is what the network link transfers.
@@ -38,6 +32,9 @@ type Cursor struct {
 	splits   []simclock.Time // cumulative produce time through each batch
 	pos      int
 	blocking string
+	// wire selects the columnar wire protocol: each batch is encoded for
+	// transfer.
+	wire bool
 }
 
 // OpenPlan executes a plan and returns a cursor over its result split into
@@ -46,12 +43,11 @@ type Cursor struct {
 // batch carrying the full service time, which reproduces monolithic
 // execution exactly.
 func (s *Server) OpenPlan(ctx context.Context, p *Plan, batchRows int) (*Cursor, error) {
-	wire := s.wireColumnar.Load() && s.vectorized.Load()
-	res, err := s.runPlan(ctx, p, wire)
+	res, err := s.runPlan(ctx, p)
 	if err != nil {
 		return nil, err
 	}
-	cur := &Cursor{result: res, blocking: exec.BlockingStage(p.Root)}
+	cur := &Cursor{result: res, blocking: exec.BlockingStage(p.Root), wire: s.wireColumnar.Load()}
 	n := res.RowCount()
 	if batchRows <= 0 || cur.blocking != "" || n <= batchRows {
 		cur.bounds = []int{n}
@@ -97,22 +93,10 @@ func (c *Cursor) NextBatch() *Batch {
 		lo, prev = c.bounds[c.pos-1], c.splits[c.pos-1]
 	}
 	hi := c.bounds[c.pos]
-	b := &Batch{ServiceTime: c.splits[c.pos] - prev}
-	if rel := c.result.Rel; rel != nil {
-		if c.pos > 0 || hi < len(rel.Rows) {
-			view := sqltypes.NewRelation(rel.Schema)
-			view.Rows = rel.Rows[lo:hi]
-			rel = view
-		}
-		b.Rel = rel
-	}
-	if c.result.Col != nil {
-		b.Col = c.result.Col.Slice(lo, hi)
-		if c.result.Rel == nil {
-			// Columnar wire protocol: encode the batch for transfer. The
-			// encoded length is the size every network draw observes.
-			b.Enc = colbatch.Encode(b.Col)
-		}
+	b := &Batch{Col: c.result.Col.Slice(lo, hi), ServiceTime: c.splits[c.pos] - prev}
+	if c.wire {
+		// The encoded length is the size every network draw observes.
+		b.Enc = colbatch.Encode(b.Col)
 	}
 	c.pos++
 	return b

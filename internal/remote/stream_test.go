@@ -10,14 +10,14 @@ import (
 )
 
 func drainCursor(cur *Cursor) (*sqltypes.Relation, simclock.Time) {
-	out := sqltypes.NewRelation(cur.Result().Rel.Schema)
+	out := sqltypes.NewRelation(cur.Result().Schema())
 	var total simclock.Time
 	for {
 		b := cur.NextBatch()
 		if b == nil {
 			return out, total
 		}
-		out.Rows = append(out.Rows, b.Rel.Rows...)
+		out.Rows = append(out.Rows, b.Col.ToRelation().Rows...)
 		total += b.ServiceTime
 	}
 }
@@ -38,15 +38,15 @@ func TestOpenPlanBatchesSumToServiceTime(t *testing.T) {
 	}
 	rel, sum := drainCursor(cur)
 	res := cur.Result()
-	if len(rel.Rows) != len(res.Rel.Rows) {
-		t.Fatalf("streamed %d rows, materialized %d", len(rel.Rows), len(res.Rel.Rows))
+	if len(rel.Rows) != res.RowCount() {
+		t.Fatalf("streamed %d rows, materialized %d", len(rel.Rows), res.RowCount())
 	}
-	wantBatches := (len(res.Rel.Rows) + 31) / 32
+	wantBatches := (res.RowCount() + 31) / 32
 	if cur.NumBatches() != wantBatches {
 		t.Fatalf("batches: %d want %d", cur.NumBatches(), wantBatches)
 	}
 	if cur.NumBatches() < 2 {
-		t.Fatalf("test needs a multi-batch result, got %d batches over %d rows", cur.NumBatches(), len(res.Rel.Rows))
+		t.Fatalf("test needs a multi-batch result, got %d batches over %d rows", cur.NumBatches(), res.RowCount())
 	}
 	// The telescoping split must reproduce the full service time EXACTLY —
 	// not within epsilon — so the monolithic and streamed virtual times agree.
@@ -60,8 +60,8 @@ func TestOpenPlanBatchesSumToServiceTime(t *testing.T) {
 	}
 	// Row content matches the materialized result position by position.
 	for i, row := range rel.Rows {
-		if row[0].Int() != res.Rel.Rows[i][0].Int() {
-			t.Fatalf("row %d differs: %v vs %v", i, row, res.Rel.Rows[i])
+		if row[0].Int() != res.Col.Value(i, 0).Int() {
+			t.Fatalf("row %d differs: %v vs %v", i, row, res.Col.Row(i))
 		}
 	}
 }

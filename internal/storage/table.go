@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
+	"repro/internal/exec/colbatch"
 	"repro/internal/sqltypes"
 	"repro/internal/stats"
 )
@@ -31,6 +33,10 @@ type Table struct {
 	stats   *stats.TableStats // refreshed lazily (RUNSTATS-style)
 	dirty   bool
 	version int64 // bumped on every mutation; buffer-pool model uses it
+	// cols is the columnar snapshot of rows at the current version, built
+	// on first use by Columns and dropped by every mutation. It is written
+	// under the read lock (no mutation can interleave), hence atomic.
+	cols atomic.Pointer[colbatch.Batch]
 	// virtual, when set, makes the table a statistics-only shell: Stats()
 	// returns it and Pages() derives from it. QCC's simulated federated
 	// system registers such "virtual tables ... without storing the actual
@@ -106,7 +112,22 @@ func (t *Table) Append(rows ...sqltypes.Row) error {
 	}
 	t.dirty = true
 	t.version++
+	t.cols.Store(nil)
 	return nil
+}
+
+// Columns returns the table's rows as one columnar batch over the table
+// schema, consistent with Version at the time of the call. The snapshot is
+// built once per version and shared: callers must treat it as immutable.
+func (t *Table) Columns() *colbatch.Batch {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if b := t.cols.Load(); b != nil {
+		return b
+	}
+	b := colbatch.FromRelation(&sqltypes.Relation{Schema: t.schema, Rows: t.rows})
+	t.cols.Store(b)
+	return b
 }
 
 // Scan invokes fn for every row; fn must not retain the row beyond the call
@@ -166,6 +187,7 @@ func (t *Table) UpdateAt(i, col int, v sqltypes.Value) error {
 	}
 	t.dirty = true
 	t.version++
+	t.cols.Store(nil)
 	return nil
 }
 

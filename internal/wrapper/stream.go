@@ -22,11 +22,10 @@ const requestEnvelopeBytes = 256
 
 // StreamBatch is one result batch as observed arriving at the integrator.
 type StreamBatch struct {
-	// Rel holds the batch rows.
+	// Rel is always nil: batches carry their rows in Col only. The field is
+	// kept for callers that still read it.
 	Rel *sqltypes.Relation
-	// Col is the same rows in columnar form when the remote executed
-	// vectorized; nil otherwise. Integrators that can merge columnar batches
-	// use it to skip the row round trip.
+	// Col holds the batch rows.
 	Col *colbatch.Batch
 	// ArriveTime is the virtual time since fragment start at which this
 	// batch finished arriving — batch k overlaps its transfer with the
@@ -208,23 +207,17 @@ func (s *netStream) Next(ctx context.Context) (*StreamBatch, error) {
 	// the fragment response time.
 	s.wsp.Emit("network.recv", telemetry.LayerNetwork, s.server.ID(), s.arrive-s.emitted)
 	s.emitted = s.arrive
-	return &StreamBatch{Rel: b.Rel, Col: b.Col, ArriveTime: s.arrive}, nil
+	return &StreamBatch{Col: b.Col, ArriveTime: s.arrive}, nil
 }
 
-// batchWireBytes sizes a batch for the network model. Under the columnar
-// wire protocol the encoded length is authoritative. Otherwise the columnar
-// WireSize is computed from per-column sums (O(1) for fixed-width null-free
-// columns) but equals Relation.ByteSize exactly, so every Transfer draw —
-// and with it the whole virtual-time schedule — is identical on both
-// engines.
+// batchWireBytes sizes a batch for the network model: the encoded length
+// under the columnar wire protocol, the row-model size (WireSize, equal to
+// the rows' Relation.ByteSize) under the row protocol.
 func batchWireBytes(b *remote.Batch) int {
 	if b.Enc != nil {
 		return b.Enc.WireBytes()
 	}
-	if b.Col != nil {
-		return b.Col.WireSize()
-	}
-	return b.Rel.ByteSize()
+	return b.Col.WireSize()
 }
 
 // Outcome implements ResultStream.

@@ -49,7 +49,7 @@ type ExecOutcome struct {
 	ResponseTime simclock.Time
 	// WireBytes is the encoded size that actually crossed the result link
 	// when the columnar wire protocol carried it; 0 on the row protocol
-	// (then Result.Rel.ByteSize() is the transferred size).
+	// (then Result.Col.WireSize() is the transferred size).
 	WireBytes int
 }
 

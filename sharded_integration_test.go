@@ -29,29 +29,6 @@ func shardedFed(t testing.TB, opts fedqcc.ShardedFederationOptions) *fedqcc.Fede
 	return fed
 }
 
-// runWorkloadOn is runVecWorkload over an explicit federation.
-func runWorkloadOn(t *testing.T, fed *fedqcc.Federation, sqls []string) vecRunOutcome {
-	t.Helper()
-	fed.EnableTelemetry()
-	out := vecRunOutcome{
-		results: make([]*fedqcc.QueryResult, len(sqls)),
-		trees:   make([]string, len(sqls)),
-		fed:     fed,
-	}
-	for i, q := range sqls {
-		res, err := fed.Query(q)
-		if err != nil {
-			t.Fatalf("query %d (%s): %v", i, q, err)
-		}
-		out.results[i] = res
-		if tr := fed.Telemetry().Tracer().Last(); tr != nil {
-			out.trees[i] = tr.Tree()
-		}
-	}
-	out.clock = fed.Now()
-	return out
-}
-
 var shardedWorkload = []string{
 	"SELECT l_id, l_price FROM lineitem WHERE l_price > 500",
 	"SELECT l_tag, SUM(l_price), COUNT(*) FROM lineitem GROUP BY l_tag",
@@ -64,8 +41,8 @@ var shardedWorkload = []string{
 // TestShardedSingleShardIdentity is the sharding-off acceptance gate: a
 // single-shard sharded federation must be observationally indistinguishable
 // — rows, charges, routes, span trees, virtual clock — from the same
-// federation assembled through the pre-sharding Builder path, under both
-// engines. RegisterSharded degrades a 1-shard map to a plain nickname, so
+// federation assembled through the pre-sharding Builder path.
+// RegisterSharded degrades a 1-shard map to a plain nickname, so
 // this pins the whole engine to the pre-sharding code paths by construction.
 func TestShardedSingleShardIdentity(t *testing.T) {
 	const scale = 50
@@ -81,15 +58,10 @@ func TestShardedSingleShardIdentity(t *testing.T) {
 		}
 		return fed
 	}
-	for _, vec := range []bool{false, true} {
-		single := shardedFed(t, fedqcc.ShardedFederationOptions{Shards: 1, Scale: scale})
-		base := baselineFed()
-		single.SetVectorized(vec)
-		base.SetVectorized(vec)
-		got := runWorkloadOn(t, single, shardedWorkload)
-		want := runWorkloadOn(t, base, shardedWorkload)
-		requireVecIdentity(t, shardedWorkload, want, got)
-	}
+	single := shardedFed(t, fedqcc.ShardedFederationOptions{Shards: 1, Scale: scale})
+	got := recordRun(t, single, shardedWorkload)
+	want := recordRun(t, baselineFed(), shardedWorkload)
+	requireOutcome(t, want, got)
 }
 
 // shardPredicates mixes handpicked predicate shapes (every pruning rule, the

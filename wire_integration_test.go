@@ -1,7 +1,6 @@
 // Columnar wire protocol integration tests: the typed column-batch wire
-// format must be invisible when disabled (bit-identical charges, spans and
-// virtual clock), answer-preserving when enabled, and actually cheaper on
-// the wire for the sharded ship-everything workload.
+// format must be off by default, answer-preserving when enabled, and
+// actually cheaper on the wire for the sharded ship-everything workload.
 package fedqcc_test
 
 import (
@@ -11,38 +10,15 @@ import (
 	fedqcc "repro"
 )
 
-// TestWireDisabledIdentity is the CI identity gate for this PR: with the
-// vectorized engine OFF, flipping the columnar-wire flag must change nothing
-// the simulation observes — the flag gates on vectorized, so the encoder
-// never runs and the data path is byte-for-byte the row protocol.
-func TestWireDisabledIdentity(t *testing.T) {
-	sqls := soakStatements(12)
-	base := runVecWorkload(t, sqls, func(fed *fedqcc.Federation) {
-		fed.SetVectorized(false)
-	})
-	wired := runVecWorkload(t, sqls, func(fed *fedqcc.Federation) {
-		fed.SetVectorized(false)
-		fed.SetColumnarWire(true)
-		if !fed.ColumnarWire() {
-			t.Fatal("SetColumnarWire(true) did not take")
-		}
-	})
-	requireVecIdentity(t, sqls, base, wired)
-}
-
-// TestWireRowProtocolUntouched pins the complementary default: a vectorized
-// federation with the wire flag untouched behaves exactly like one with the
-// flag explicitly off.
+// TestWireRowProtocolUntouched pins the default: a federation with the wire
+// flag untouched behaves exactly like one with the flag explicitly off.
 func TestWireRowProtocolUntouched(t *testing.T) {
 	sqls := soakStatements(12)
-	def := runVecWorkload(t, sqls, func(fed *fedqcc.Federation) {
-		fed.SetVectorized(true)
-	})
-	off := runVecWorkload(t, sqls, func(fed *fedqcc.Federation) {
-		fed.SetVectorized(true)
+	def := recordSoakRun(t, sqls, func(*fedqcc.Federation) {})
+	off := recordSoakRun(t, sqls, func(fed *fedqcc.Federation) {
 		fed.SetColumnarWire(false)
 	})
-	requireVecIdentity(t, sqls, def, off)
+	requireOutcome(t, def, off)
 }
 
 // TestWireSameAnswers: enabling the columnar wire changes what crosses the
@@ -51,31 +27,19 @@ func TestWireRowProtocolUntouched(t *testing.T) {
 // soak workload must return cell-for-cell bit-identical rows.
 func TestWireSameAnswers(t *testing.T) {
 	sqls := soakStatements(16)
-	row := runVecWorkload(t, sqls, func(fed *fedqcc.Federation) {
-		fed.SetVectorized(true)
-	})
-	wire := runVecWorkload(t, sqls, func(fed *fedqcc.Federation) {
-		fed.SetVectorized(true)
+	row := recordSoakRun(t, sqls, func(*fedqcc.Federation) {})
+	wire := recordSoakRun(t, sqls, func(fed *fedqcc.Federation) {
 		fed.SetColumnarWire(true)
+		if !fed.ColumnarWire() {
+			t.Fatal("SetColumnarWire(true) did not take")
+		}
 	})
 	for i := range sqls {
-		r, w := row.results[i], wire.results[i]
-		if len(r.Rows.Rows) != len(w.Rows.Rows) {
-			t.Fatalf("query %d (%s): %d rows (row wire) vs %d (columnar wire)",
-				i, sqls[i], len(r.Rows.Rows), len(w.Rows.Rows))
-		}
-		for ri := range r.Rows.Rows {
-			for ci := range r.Rows.Rows[ri] {
-				if !cellsBitIdentical(r.Rows.Rows[ri][ci], w.Rows.Rows[ri][ci]) {
-					t.Fatalf("query %d (%s): cell (%d,%d) diverged: %#v vs %#v",
-						i, sqls[i], ri, ci, r.Rows.Rows[ri][ci], w.Rows.Rows[ri][ci])
-				}
-			}
-		}
+		requireSameRows(t, i, row.Queries[i], wire.Queries[i])
 	}
 }
 
-// wireShardedFed builds a vectorized sharded federation for wire tests.
+// wireShardedFed builds a sharded federation for wire tests.
 func wireShardedFed(t testing.TB, shards int, pushdown, wire bool) *fedqcc.Federation {
 	t.Helper()
 	fed, err := fedqcc.NewShardedFederation(fedqcc.ShardedFederationOptions{
@@ -85,7 +49,6 @@ func wireShardedFed(t testing.TB, shards int, pushdown, wire bool) *fedqcc.Feder
 	if err != nil {
 		t.Fatal(err)
 	}
-	fed.SetVectorized(true)
 	fed.SetShardPushdown(pushdown)
 	fed.SetColumnarWire(wire)
 	return fed
